@@ -12,12 +12,15 @@
 #include "autograd/fm_op.h"
 #include "autograd/ops.h"
 #include "common/bench_util.h"
+#include "common/buffer_pool.h"
+#include "common/parallel_config.h"
 #include "common/thread_pool.h"
 #include "core/aggregators.h"
 #include "core/gcfm.h"
 #include "data/registry.h"
 #include "metrics/mutual_info.h"
 #include "nn/layers.h"
+#include "tensor/kernels.h"
 #include "train/optimizer.h"
 
 namespace lasagne {
@@ -213,25 +216,30 @@ BENCHMARK(BM_TransposedSpMMLarge)
     ->Arg(4)
     ->Arg(8);
 
-// The single-pass fused attention kernel vs the four-op eager chain it
-// replaces (docs/KERNELS.md). Same float semantics, same output bits;
-// the contrast is edge-array traffic: one CSR sweep instead of four.
+// The single-pass fused attention kernel (the execution plan's
+// EdgeAttention step, docs/KERNELS.md) vs the four-op eager chain it
+// replaces. Same float semantics, same output bits; the contrast is
+// edge-array traffic: one CSR sweep instead of four.
 void BM_EdgeAttentionFusedLarge(benchmark::State& state) {
   LargeFixture& f = GetLargeFixture();
   SetNumThreads(static_cast<size_t>(state.range(0)));
   Rng rng(19);
   auto edges = ag::EdgeStructure::FromGraph(f.data.graph, true);
   const size_t n = f.data.num_nodes();
-  ag::Variable dst =
-      ag::MakeConstant(Tensor::Normal(n, 1, 0.0f, 1.0f, rng));
-  ag::Variable src =
-      ag::MakeConstant(Tensor::Normal(n, 1, 0.0f, 1.0f, rng));
-  ag::Variable feats = ag::MakeConstant(f.h);
+  const size_t d = f.h.cols();
+  const Tensor dst = Tensor::Normal(n, 1, 0.0f, 1.0f, rng);
+  const Tensor src = Tensor::Normal(n, 1, 0.0f, 1.0f, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ag::EdgeAttention(dst, src, feats, edges, 0.2f, nullptr)
-            ->value()
-            .data());
+    Tensor out = Tensor::Uninitialized(n, d);
+    internal::PoolBuffer probs(edges->num_edges());
+    ParallelFor(0, n, CsrRowGrain(edges->num_edges(), n, d),
+                [&](size_t row_begin, size_t row_end) {
+                  kernels::EdgeAttentionForward(
+                      edges->row_ptr.data(), edges->src.data(), dst.data(),
+                      src.data(), nullptr, 0.2f, f.h.data(), d, probs.data(),
+                      out.data(), row_begin, row_end);
+                });
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * edges->num_edges() * 64);
   SetNumThreads(0);

@@ -1,49 +1,13 @@
 #include "autograd/edge_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "autograd/forward_trace.h"
 #include "autograd/ops.h"
-#include "common/buffer_pool.h"
 #include "common/check.h"
-#include "common/parallel_config.h"
-#include "common/thread_pool.h"
-#include "tensor/kernels.h"
 
 namespace lasagne::ag {
-
-namespace {
-
-std::atomic<bool>& FusedEdgeAttentionFlag() {
-  static std::atomic<bool> enabled([] {
-    const char* v = std::getenv("LASAGNE_DISABLE_EDGE_ATTENTION");
-    return v == nullptr || v[0] == '\0' || std::strcmp(v, "0") == 0;
-  }());
-  return enabled;
-}
-
-// Row-partition grain for the fused forward: same work model as
-// CsrMatrix::Multiply (average fan-in times feature width per row).
-size_t EdgeAttentionGrain(const EdgeStructure& edges, size_t d) {
-  const size_t work_per_row =
-      (edges.num_edges() / std::max<size_t>(edges.num_nodes, 1) + 1) *
-      std::max<size_t>(d, 1);
-  return std::max<size_t>(1, kGrain / work_per_row);
-}
-
-}  // namespace
-
-void SetFusedEdgeAttentionEnabled(bool enabled) {
-  FusedEdgeAttentionFlag().store(enabled, std::memory_order_relaxed);
-}
-
-bool FusedEdgeAttentionEnabled() {
-  return FusedEdgeAttentionFlag().load(std::memory_order_relaxed);
-}
 
 std::shared_ptr<const EdgeStructure> EdgeStructure::FromGraph(
     const Graph& graph, bool add_self_loops) {
@@ -283,82 +247,6 @@ Variable EdgeWeightedAggregate(const Variable& edge_weights,
         },
         "EdgeWeightedAggregate",
         TraceOpMeta::Edge(TraceOpKind::kEdgeWeightedAggregate, edges));
-  }
-  return out;
-}
-
-Variable EdgeAttention(const Variable& dst_scores, const Variable& src_scores,
-                       const Variable& features,
-                       std::shared_ptr<const EdgeStructure> edges, float slope,
-                       std::shared_ptr<const std::vector<float>> edge_bias) {
-  LASAGNE_CHECK_EQ(dst_scores->cols(), 1u);
-  LASAGNE_CHECK_EQ(src_scores->cols(), 1u);
-  LASAGNE_CHECK_EQ(dst_scores->rows(), edges->num_nodes);
-  LASAGNE_CHECK_EQ(src_scores->rows(), edges->num_nodes);
-  LASAGNE_CHECK_EQ(features->rows(), edges->num_nodes);
-  if (edge_bias != nullptr) {
-    LASAGNE_CHECK_EQ(edge_bias->size(), edges->num_edges());
-  }
-  const size_t d = features->cols();
-  const float* bias_ptr = edge_bias != nullptr ? edge_bias->data() : nullptr;
-  // The normalized attention weights double as the softmax result the
-  // backward needs; row slices are disjoint, so the ParallelFor chunks
-  // write race-free.
-  auto probs = std::make_shared<Tensor>(edges->num_edges(), 1);
-  Tensor y = Tensor::Uninitialized(edges->num_nodes, d);
-  ParallelFor(0, edges->num_nodes, EdgeAttentionGrain(*edges, d),
-              [&](size_t row_begin, size_t row_end) {
-                kernels::EdgeAttentionForward(
-                    edges->row_ptr.data(), edges->src.data(),
-                    dst_scores->value().data(), src_scores->value().data(),
-                    bias_ptr, slope, features->value().data(), d,
-                    probs->data(), y.data(), row_begin, row_end);
-              });
-  Variable out = MakeOpNode(std::move(y), {dst_scores, src_scores, features},
-                            "EdgeAttention");
-  Node* pd = dst_scores.get();
-  Node* ps = src_scores.get();
-  Node* pf = features.get();
-  out->set_backward_fn([pd, ps, pf, edges, slope, edge_bias, probs,
-                        d](const Tensor& g) {
-    // Serial like the eager edge-op backwards: the d_src / d_feat
-    // scatters cross destination-row boundaries.
-    Tensor dd(edges->num_nodes, 1);
-    Tensor ds(edges->num_nodes, 1);
-    Tensor df(edges->num_nodes, d);
-    std::vector<float> scratch(edges->num_edges());
-    kernels::EdgeAttentionBackward(
-        edges->row_ptr.data(), edges->src.data(), edges->num_nodes,
-        pd->value().data(), ps->value().data(),
-        edge_bias != nullptr ? edge_bias->data() : nullptr, slope,
-        pf->value().data(), d, probs->data(), g.data(), dd.data(), ds.data(),
-        df.data(), scratch.data());
-    if (pd->requires_grad()) pd->AccumulateGrad(dd);
-    if (ps->requires_grad()) ps->AccumulateGrad(ds);
-    if (pf->requires_grad()) pf->AccumulateGrad(df);
-  });
-  if (internal::ForwardTraceActive()) {
-    TraceOpMeta meta = TraceOpMeta::Edge(TraceOpKind::kEdgeAttention, edges);
-    meta.alpha = slope;
-    meta.edge_bias = edge_bias;
-    internal::TraceRecordOp(
-        out, {dst_scores, src_scores, features},
-        [edges, slope, edge_bias](const std::vector<const Tensor*>& in) {
-          const size_t d = in[2]->cols();
-          Tensor y = Tensor::Uninitialized(edges->num_nodes, d);
-          lasagne::internal::PoolBuffer probs(edges->num_edges());
-          ParallelFor(0, edges->num_nodes, EdgeAttentionGrain(*edges, d),
-                      [&](size_t row_begin, size_t row_end) {
-                        kernels::EdgeAttentionForward(
-                            edges->row_ptr.data(), edges->src.data(),
-                            in[0]->data(), in[1]->data(),
-                            edge_bias != nullptr ? edge_bias->data() : nullptr,
-                            slope, in[2]->data(), d, probs.data(), y.data(),
-                            row_begin, row_end);
-                      });
-          return y;
-        },
-        "EdgeAttention", std::move(meta));
   }
   return out;
 }

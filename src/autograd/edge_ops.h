@@ -46,25 +46,6 @@ Variable EdgeWeightedAggregate(const Variable& edge_weights,
                                const Variable& features,
                                std::shared_ptr<const EdgeStructure> edges);
 
-/// Single-pass fused attention chain: equivalent to
-///   GatherEdgeScores → [AddEdgeBias] → LeakyRelu(slope) → EdgeSoftmax
-///   → EdgeWeightedAggregate
-/// executed as one CSR sweep (kernels::EdgeAttentionForward/Backward),
-/// bitwise-identical to the unfused chain in both directions at any
-/// thread count. `edge_bias` may be nullptr. Gradients flow to
-/// `dst_scores`, `src_scores` and `features`.
-Variable EdgeAttention(const Variable& dst_scores, const Variable& src_scores,
-                       const Variable& features,
-                       std::shared_ptr<const EdgeStructure> edges, float slope,
-                       std::shared_ptr<const std::vector<float>> edge_bias);
-
-/// Process-wide switch for the fused eager edge-attention path
-/// (nn::GatHead dispatches through it when off the trace/dropout
-/// paths). Defaults to enabled; set LASAGNE_DISABLE_EDGE_ATTENTION=1
-/// to start disabled. Parity tests toggle it to compare both forms.
-void SetFusedEdgeAttentionEnabled(bool enabled);
-bool FusedEdgeAttentionEnabled();
-
 }  // namespace lasagne::ag
 
 #endif  // LASAGNE_AUTOGRAD_EDGE_OPS_H_

@@ -42,8 +42,6 @@ enum class TraceOpKind : uint8_t {
   kAddEdgeBias,       // inputs {scores}; meta.edge_bias set
   kEdgeSoftmax,       // inputs {scores}; meta.edges set
   kEdgeWeightedAggregate,  // inputs {weights, features}; meta.edges set
-  kEdgeAttention,  // inputs {dst_scores, src_scores, features}; meta.edges,
-                   // meta.alpha (slope), optional meta.edge_bias set
 };
 
 /// Side data a fused replay closure needs to be rebuilt from scratch

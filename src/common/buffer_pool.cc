@@ -118,17 +118,16 @@ size_t BufferPool::BucketCapacity(size_t count) {
 }
 
 bool BufferPool::TryReserveCachedBytes(uint64_t bytes) {
-  // fetch_add-then-verify: each contender reserves first and backs out
-  // on failure, so the sum of successful reservations never exceeds
-  // the limit — unlike the old load-check-then-lock sequence, where N
-  // concurrent releases could all pass the check and overshoot the cap
-  // together.
-  const uint64_t prev = cached_bytes_.fetch_add(bytes,
-                                                std::memory_order_relaxed);
-  if (prev + bytes > limit_.load(std::memory_order_relaxed)) {
-    cached_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-    return false;
-  }
+  // Compare-exchange loop: a reservation is published only if the new
+  // total fits under the limit, so cached_bytes never holds an over-cap
+  // value, not even transiently — GetStats() never reports one, and a
+  // losing contender never makes a concurrent release that fits fail.
+  const uint64_t limit = limit_.load(std::memory_order_relaxed);
+  uint64_t current = cached_bytes_.load(std::memory_order_relaxed);
+  do {
+    if (bytes > limit || current > limit - bytes) return false;
+  } while (!cached_bytes_.compare_exchange_weak(current, current + bytes,
+                                                std::memory_order_relaxed));
   return true;
 }
 

@@ -22,6 +22,16 @@ inline size_t RowGrain(size_t work_per_row) {
   return std::max<size_t>(1, kGrain / std::max<size_t>(1, work_per_row));
 }
 
+/// Row grain for a CSR row sweep that reads `nnz` entries over `rows`
+/// rows and writes `d` output columns per row (SpMM, fused edge
+/// attention): average fan-in plus one, times the width. Every eager op
+/// and plan replay of such a sweep partitions through this, so a plan
+/// step splits its rows exactly like the eager op it replaces.
+inline size_t CsrRowGrain(size_t nnz, size_t rows, size_t d) {
+  return RowGrain((nnz / std::max<size_t>(rows, 1) + 1) *
+                  std::max<size_t>(d, 1));
+}
+
 namespace kernels {
 
 /// Width (in floats) of one GEMM/SpMM register tile along the output

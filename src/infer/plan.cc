@@ -1,7 +1,6 @@
 #include "infer/plan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <map>
 #include <unordered_map>
@@ -24,7 +23,7 @@ namespace {
 
 using ag::TraceOpKind;
 
-/// Activation epilogue a fused step carries (kNone = plain bias).
+/// Activation closing a producer→epilogue step (kNone: bias only).
 enum class FusedAct { kNone, kRelu, kLeakyRelu };
 
 /// One execution-plan op after fusion: a TraceRecord whose replay may
@@ -37,92 +36,112 @@ struct PlanOp {
   uint32_t fused_ops = 1;
 };
 
-/// inputs = {x, w, bias}: out = act(x @ w + bias). Reproduces
-/// Tensor::MatMul's orchestration (packed panel, RowGrain partition);
-/// the fused kernels keep GemmRowsNN's ascending-k accumulation and
-/// apply bias/activation as elementwise row epilogues, so the result
-/// is bitwise the MatMul→AddRowVector[→act] chain.
-ag::TraceFn MakeGemmBiasReplay(FusedAct act, float alpha) {
-  return [act, alpha](const std::vector<const Tensor*>& in) {
-    const Tensor& x = *in[0];
-    const Tensor& w = *in[1];
-    const float* bias = in[2]->data();
-    const size_t k_dim = x.cols();
-    const size_t n_dim = w.cols();
-    Tensor out = Tensor::Uninitialized(x.rows(), n_dim);
-    internal::PoolBuffer packed(kernels::PackedBSize(k_dim, n_dim));
-    if (packed.data() != nullptr) {
-      kernels::PackB(w.data(), k_dim, n_dim, packed.data());
-    }
-    ParallelFor(0, x.rows(), RowGrain(k_dim * n_dim),
-                [&](size_t row_begin, size_t row_end) {
-                  switch (act) {
-                    case FusedAct::kNone:
-                      kernels::GemmRowsNNBias(x.data(), k_dim, n_dim, w.data(),
-                                              packed.data(), bias, out.data(),
-                                              row_begin, row_end);
-                      break;
-                    case FusedAct::kRelu:
-                      kernels::GemmRowsNNBiasRelu(x.data(), k_dim, n_dim,
-                                                  w.data(), packed.data(),
-                                                  bias, out.data(), row_begin,
-                                                  row_end);
-                      break;
-                    case FusedAct::kLeakyRelu:
-                      kernels::GemmRowsNNBiasLeakyRelu(
-                          x.data(), k_dim, n_dim, w.data(), packed.data(),
-                          bias, alpha, out.data(), row_begin, row_end);
-                      break;
-                  }
-                });
-    return out;
-  };
+/// The producers a producer→epilogue step can start from, and the
+/// epilogues each one takes. The table pins the fused set exactly:
+/// MatMul fuses only through its AddRowVector bias (an activation may
+/// follow), SpMM and Add only into an activation, Add only into Relu.
+struct ProducerRule {
+  TraceOpKind kind;
+  const char* name;
+  bool bias;        // chain must (true) / must not (false) carry a bias
+  bool leaky_relu;  // LeakyRelu may close the chain (Relu always may)
+};
+
+constexpr ProducerRule kProducerRules[] = {
+    {TraceOpKind::kMatMul, "MatMul", true, true},
+    {TraceOpKind::kSpMM, "SpMM", false, true},
+    {TraceOpKind::kAdd, "Add", false, false},
+};
+
+const ProducerRule* ProducerRuleFor(const ag::TraceRecord& rec) {
+  if (rec.meta.kind == TraceOpKind::kSpMM && rec.meta.spmm_matrix == nullptr) {
+    return nullptr;
+  }
+  for (const ProducerRule& rule : kProducerRules) {
+    if (rule.kind == rec.meta.kind) return &rule;
+  }
+  return nullptr;
 }
 
-/// inputs = {x}: out = act(matrix @ x). Same row partition as
-/// CsrMatrix::Multiply; activation applied to the hot row block.
-ag::TraceFn MakeSpmmActReplay(std::shared_ptr<const CsrMatrix> matrix,
-                              FusedAct act, float alpha) {
-  return [matrix, act, alpha](const std::vector<const Tensor*>& in) {
+/// The epilogue over rows [row_begin, row_end) of a `cols`-wide output
+/// the producer just wrote: optional bias broadcast, then activation,
+/// row by row while each row is still in L1 (a bias-less activation
+/// sweeps the whole block). Elementwise single rounded ops, so any
+/// partition reproduces the unfused chain bitwise.
+void ApplyEpilogue(const float* bias, FusedAct act, float alpha, float* out,
+                   size_t cols, size_t row_begin, size_t row_end) {
+  auto activate = [act, alpha](float* x, size_t n) {
+    if (act == FusedAct::kRelu) kernels::ReluForward(x, x, n);
+    if (act == FusedAct::kLeakyRelu) kernels::LeakyReluForward(x, alpha, x, n);
+  };
+  if (bias == nullptr) {
+    activate(out + row_begin * cols, (row_end - row_begin) * cols);
+    return;
+  }
+  for (size_t r = row_begin; r < row_end; ++r) {
+    float* row = out + r * cols;
+    kernels::EwAddInPlace(row, bias, cols);
+    activate(row, cols);
+  }
+}
+
+/// inputs = the producer's inputs, then the bias row when `with_bias`.
+/// Each producer replays its eager op's orchestration — MatMul: packed
+/// panel over RowGrain rows (Tensor::MatMul); SpMM: CsrRowGrain rows
+/// (CsrMatrix::Multiply); Add: flat kGrain elements (Tensor::operator+)
+/// — and every chunk runs the epilogue on the range it just wrote, so
+/// accumulation order and partition, hence every output bit, match the
+/// unfused chain at any thread count.
+ag::TraceFn MakeProducerEpilogueReplay(TraceOpKind producer,
+                                       std::shared_ptr<const CsrMatrix> matrix,
+                                       bool with_bias, FusedAct act,
+                                       float alpha) {
+  return [producer, matrix, with_bias, act,
+          alpha](const std::vector<const Tensor*>& in) {
     const Tensor& x = *in[0];
-    const size_t d = x.cols();
-    const size_t rows = matrix->rows();
-    Tensor out = Tensor::Uninitialized(rows, d);
-    const size_t work_per_row =
-        (matrix->nnz() / std::max<size_t>(rows, 1) + 1) *
-        std::max<size_t>(d, 1);
-    const size_t grain = std::max<size_t>(1, kGrain / work_per_row);
-    ParallelFor(0, rows, grain, [&](size_t row_begin, size_t row_end) {
-      if (act == FusedAct::kRelu) {
-        kernels::SpmmRowsRelu(matrix->row_ptr().data(),
-                              matrix->col_idx().data(),
-                              matrix->values().data(), x.data(), d, out.data(),
-                              row_begin, row_end);
-      } else {
-        kernels::SpmmRowsLeakyRelu(matrix->row_ptr().data(),
-                                   matrix->col_idx().data(),
-                                   matrix->values().data(), x.data(), d, alpha,
-                                   out.data(), row_begin, row_end);
+    const float* bias = with_bias ? in.back()->data() : nullptr;
+    auto run = [&](Tensor out, size_t range, size_t grain, size_t width,
+                   const auto& produce) {
+      ParallelFor(0, range, grain, [&](size_t begin, size_t end) {
+        produce(out.data(), begin, end);
+        ApplyEpilogue(bias, act, alpha, out.data(), width, begin, end);
+      });
+      return out;
+    };
+    if (producer == TraceOpKind::kMatMul) {
+      const Tensor& w = *in[1];
+      const size_t k_dim = x.cols();
+      const size_t n_dim = w.cols();
+      internal::PoolBuffer packed(kernels::PackedBSize(k_dim, n_dim));
+      if (packed.data() != nullptr) {
+        kernels::PackB(w.data(), k_dim, n_dim, packed.data());
       }
-    });
-    return out;
-  };
-}
-
-/// inputs = {a, b}: out = max(a + b, 0). Same flat kGrain partition as
-/// Tensor::operator+; the ReLU is folded into the add pass, so the sum
-/// tensor is never materialized. Elementwise, so bitwise-identical to
-/// the unfused pair at any thread count.
-ag::TraceFn MakeAddReluReplay() {
-  return [](const std::vector<const Tensor*>& in) {
-    const Tensor& a = *in[0];
-    const Tensor& b = *in[1];
-    Tensor out = Tensor::Uninitialized(a.rows(), a.cols());
-    ParallelFor(0, out.size(), kGrain, [&](size_t begin, size_t end) {
-      kernels::EwAddRelu(a.data() + begin, b.data() + begin,
-                         out.data() + begin, end - begin);
-    });
-    return out;
+      return run(Tensor::Uninitialized(x.rows(), n_dim), x.rows(),
+                 RowGrain(k_dim * n_dim), n_dim,
+                 [&](float* out, size_t begin, size_t end) {
+                   kernels::GemmRowsNN(x.data(), k_dim, n_dim, w.data(),
+                                       packed.data(), out, begin, end);
+                 });
+    }
+    if (producer == TraceOpKind::kSpMM) {
+      const size_t d = x.cols();
+      const size_t rows = matrix->rows();
+      return run(Tensor::Uninitialized(rows, d), rows,
+                 CsrRowGrain(matrix->nnz(), rows, d), d,
+                 [&](float* out, size_t begin, size_t end) {
+                   kernels::SpmmRows(matrix->row_ptr().data(),
+                                     matrix->col_idx().data(),
+                                     matrix->values().data(), x.data(), d,
+                                     out, begin, end);
+                 });
+    }
+    // Add: a flat element range, i.e. rows of width 1.
+    const Tensor& y = *in[1];
+    return run(Tensor::Uninitialized(x.rows(), x.cols()), x.size(), kGrain,
+               1, [&](float* out, size_t begin, size_t end) {
+                 kernels::EwAdd(x.data() + begin, y.data() + begin,
+                                out + begin, end - begin);
+               });
   };
 }
 
@@ -144,11 +163,8 @@ ag::TraceFn MakeEdgeAttentionReplay(
     const size_t d = feats.cols();
     Tensor out = Tensor::Uninitialized(edges->num_nodes, d);
     internal::PoolBuffer probs(edges->num_edges());
-    const size_t work_per_row =
-        (edges->num_edges() / std::max<size_t>(edges->num_nodes, 1) + 1) *
-        std::max<size_t>(d, 1);
-    const size_t grain = std::max<size_t>(1, kGrain / work_per_row);
-    ParallelFor(0, edges->num_nodes, grain,
+    ParallelFor(0, edges->num_nodes,
+                CsrRowGrain(edges->num_edges(), edges->num_nodes, d),
                 [&](size_t row_begin, size_t row_end) {
                   kernels::EdgeAttentionForward(
                       edges->row_ptr.data(), edges->src.data(), dst.data(),
@@ -161,98 +177,28 @@ ag::TraceFn MakeEdgeAttentionReplay(
   };
 }
 
-/// inputs = {dst_scores, src_scores}: per-edge score with the leaky
-/// epilogue inlined — skips materializing the (E x 1) raw-score tensor.
-/// `d + s` and the slope test are the exact eager float ops.
-ag::TraceFn MakeGatherLeakyReluReplay(
-    std::shared_ptr<const ag::EdgeStructure> edges, float alpha) {
-  return [edges, alpha](const std::vector<const Tensor*>& in) {
-    Tensor y(edges->num_edges(), 1);
-    for (size_t i = 0; i < edges->num_nodes; ++i) {
-      const float d = (*in[0])(i, 0);
-      for (size_t k = edges->row_ptr[i]; k < edges->row_ptr[i + 1]; ++k) {
-        const float t = d + (*in[1])(edges->src[k], 0);
-        y(k, 0) = t >= 0.0f ? t : alpha * t;
-      }
-    }
-    return y;
-  };
-}
-
-/// inputs = {edge_scores, features}: per-destination softmax feeding
-/// the weighted aggregation directly — the (E x 1) attention tensor
-/// never materializes; per-edge probabilities live in a max-fan-in
-/// scratch sized at compile time. Each step reproduces the eager
-/// arithmetic float-for-float: exp into float, double total in
-/// ascending k, one rounded multiply by 1/total, then the ascending-k
-/// accumulate of EdgeWeightedAggregate.
-ag::TraceFn MakeEdgeSoftmaxAggregateReplay(
-    std::shared_ptr<const ag::EdgeStructure> edges) {
-  size_t max_fan_in = 0;
-  for (size_t i = 0; i < edges->num_nodes; ++i) {
-    max_fan_in =
-        std::max(max_fan_in, edges->row_ptr[i + 1] - edges->row_ptr[i]);
-  }
-  // Plans are single-threaded (one plan per worker), so one scratch
-  // per closure is race-free.
-  auto scratch = std::make_shared<std::vector<float>>(max_fan_in);
-  return [edges, scratch](const std::vector<const Tensor*>& in) {
-    const Tensor& scores = *in[0];
-    const Tensor& feats = *in[1];
-    const size_t d = feats.cols();
-    Tensor y(edges->num_nodes, d);
-    std::vector<float>& probs = *scratch;
-    for (size_t i = 0; i < edges->num_nodes; ++i) {
-      const size_t begin = edges->row_ptr[i];
-      const size_t end = edges->row_ptr[i + 1];
-      if (begin == end) continue;
-      float max_v = scores(begin, 0);
-      for (size_t k = begin + 1; k < end; ++k) {
-        max_v = std::max(max_v, scores(k, 0));
-      }
-      double total = 0.0;
-      for (size_t k = begin; k < end; ++k) {
-        probs[k - begin] = std::exp(scores(k, 0) - max_v);
-        total += probs[k - begin];
-      }
-      const float inv = static_cast<float>(1.0 / total);
-      float* out_row = y.RowPtr(i);
-      for (size_t k = begin; k < end; ++k) {
-        const float w = probs[k - begin] * inv;
-        const float* f_row = feats.RowPtr(edges->src[k]);
-        for (size_t j = 0; j < d; ++j) out_row[j] += w * f_row[j];
-      }
-    }
-    return y;
-  };
-}
-
-/// Peephole fusion over the execution-ordered trace. A chain fuses
-/// only when every intermediate (a) has exactly one consumer in the
-/// whole trace, (b) is consumed as that op's first input (the position
-/// every rule expects), and (c) is not the plan root (externally
-/// visible). Everything else passes through unchanged — in particular
-/// any op the trace marked kOpaque breaks a chain, so fusion never
-/// reaches across an op it cannot prove.
+/// Peephole fusion over the execution-ordered trace, with two rules:
+/// producer→epilogue (kProducerRules) and the EdgeAttention chain. A
+/// chain fuses only when every intermediate (a) has exactly one
+/// consumer in the whole trace, (b) is consumed as that op's first
+/// input, and (c) is not the plan root (externally visible).
+/// Everything else — every op when `fuse` is false — passes through
+/// unchanged; in particular any op the trace marked kOpaque breaks a
+/// chain, so fusion never reaches across an op it cannot prove.
 std::vector<PlanOp> FuseTraceRecords(std::vector<ag::TraceRecord> records,
-                                     const ag::Node* root) {
+                                     const ag::Node* root, bool fuse) {
   std::unordered_map<const ag::Node*, size_t> uses;
   for (const ag::TraceRecord& rec : records) {
     for (const ag::Variable& input : rec.inputs) ++uses[input.get()];
   }
-  auto link_ok = [&uses, root](const ag::TraceRecord& producer,
-                               const ag::TraceRecord& consumer) {
-    return !consumer.inputs.empty() &&
-           consumer.inputs[0].get() == producer.output.get() &&
-           uses[producer.output.get()] == 1 && producer.output.get() != root;
-  };
-  auto is_activation = [](const ag::TraceRecord& rec) {
-    return rec.meta.kind == TraceOpKind::kRelu ||
-           rec.meta.kind == TraceOpKind::kLeakyRelu;
-  };
-  auto act_of = [](const ag::TraceRecord& rec) {
-    return rec.meta.kind == TraceOpKind::kRelu ? FusedAct::kRelu
-                                               : FusedAct::kLeakyRelu;
+  // True when records[j] exists, has `kind`, and `prev`'s output is a
+  // fusible intermediate feeding it: records[j]'s first input, with no
+  // other consumer, and not the root.
+  auto links = [&](size_t j, TraceOpKind kind, const ag::TraceRecord& prev) {
+    if (j >= records.size() || records[j].meta.kind != kind) return false;
+    const ag::Node* mid = prev.output.get();
+    const std::vector<ag::Variable>& in = records[j].inputs;
+    return !in.empty() && in[0].get() == mid && uses[mid] == 1 && mid != root;
   };
 
   std::vector<PlanOp> ops;
@@ -260,96 +206,68 @@ std::vector<PlanOp> FuseTraceRecords(std::vector<ag::TraceRecord> records,
   size_t i = 0;
   while (i < records.size()) {
     ag::TraceRecord& rec = records[i];
-    ag::TraceRecord* next = i + 1 < records.size() ? &records[i + 1] : nullptr;
-    ag::TraceRecord* third =
-        i + 2 < records.size() ? &records[i + 2] : nullptr;
 
-    // MatMul→AddRowVector[→activation]: linear layer with bias.
-    if (rec.meta.kind == TraceOpKind::kMatMul && next != nullptr &&
-        next->meta.kind == TraceOpKind::kAddRowVector && link_ok(rec, *next)) {
-      const bool with_act =
-          third != nullptr && is_activation(*third) && link_ok(*next, *third);
-      const size_t chain_len = with_act ? 3 : 2;
-      PlanOp op;
-      op.inputs = {rec.inputs[0], rec.inputs[1], next->inputs[1]};
-      op.fused_ops = static_cast<uint32_t>(chain_len);
-      if (with_act) {
-        const FusedAct act = act_of(*third);
-        op.output = third->output;
-        op.replay = MakeGemmBiasReplay(act, third->meta.alpha);
-        op.op_name = act == FusedAct::kRelu ? "MatMul+Bias+Relu"
-                                            : "MatMul+Bias+LeakyRelu";
-      } else {
-        op.output = next->output;
-        op.replay = MakeGemmBiasReplay(FusedAct::kNone, 0.0f);
-        op.op_name = "MatMul+Bias";
+    // Producer→epilogue: MatMul / SpMM / Add, then an optional
+    // AddRowVector bias, then an optional Relu / LeakyRelu, as one
+    // range sweep of the producer kernel plus ApplyEpilogue.
+    const ProducerRule* rule = fuse ? ProducerRuleFor(rec) : nullptr;
+    if (rule != nullptr) {
+      size_t j = i + 1;
+      const ag::TraceRecord* last = &rec;
+      ag::Variable bias;
+      if (rule->bias && links(j, TraceOpKind::kAddRowVector, *last)) {
+        bias = records[j].inputs[1];
+        last = &records[j++];
       }
-      ops.push_back(std::move(op));
-      i += chain_len;
-      continue;
-    }
-
-    // SpMM→activation: graph aggregation into its nonlinearity.
-    if (rec.meta.kind == TraceOpKind::kSpMM &&
-        rec.meta.spmm_matrix != nullptr && next != nullptr &&
-        is_activation(*next) && link_ok(rec, *next)) {
-      const FusedAct act = act_of(*next);
-      PlanOp op;
-      op.output = next->output;
-      op.inputs = {rec.inputs[0]};
-      op.replay = MakeSpmmActReplay(rec.meta.spmm_matrix, act,
-                                    next->meta.alpha);
-      op.op_name =
-          act == FusedAct::kRelu ? "SpMM+Relu" : "SpMM+LeakyRelu";
-      op.fused_ops = 2;
-      ops.push_back(std::move(op));
-      i += 2;
-      continue;
-    }
-
-    // Add→Relu: residual / two-branch combine into its nonlinearity
-    // (GraphSAGE's self+neighbor merge, ResGCN skip connections).
-    if (rec.meta.kind == TraceOpKind::kAdd && next != nullptr &&
-        next->meta.kind == TraceOpKind::kRelu && link_ok(rec, *next)) {
-      PlanOp op;
-      op.output = next->output;
-      op.inputs = {rec.inputs[0], rec.inputs[1]};
-      op.replay = MakeAddReluReplay();
-      op.op_name = "Add+Relu";
-      op.fused_ops = 2;
-      ops.push_back(std::move(op));
-      i += 2;
-      continue;
+      FusedAct act = FusedAct::kNone;
+      const char* act_name = "";
+      float alpha = 0.0f;
+      if (links(j, TraceOpKind::kRelu, *last)) {
+        act = FusedAct::kRelu;
+        act_name = "+Relu";
+      } else if (rule->leaky_relu &&
+                 links(j, TraceOpKind::kLeakyRelu, *last)) {
+        act = FusedAct::kLeakyRelu;
+        act_name = "+LeakyRelu";
+        alpha = records[j].meta.alpha;
+      }
+      if (act != FusedAct::kNone) last = &records[j++];
+      if (rule->bias ? bias != nullptr : act != FusedAct::kNone) {
+        PlanOp op;
+        op.output = last->output;
+        op.inputs = rec.inputs;
+        if (bias != nullptr) op.inputs.push_back(bias);
+        op.replay = MakeProducerEpilogueReplay(
+            rule->kind, rec.meta.spmm_matrix, bias != nullptr, act, alpha);
+        op.op_name = std::string(rule->name) +
+                     (bias != nullptr ? "+Bias" : "") + act_name;
+        op.fused_ops = static_cast<uint32_t>(j - i);
+        ops.push_back(std::move(op));
+        i = j;
+        continue;
+      }
     }
 
     // GatherEdgeScores→[AddEdgeBias→]LeakyRelu→EdgeSoftmax→
     // EdgeWeightedAggregate: the whole attention chain of one GAT/ADSF
     // head super-fuses into a single kernels::EdgeAttentionForward
-    // step. Tried before the pairwise edge rules below, which remain
-    // only as fallbacks for partial chains (the two-step form is
-    // slower than both this and the raw ops — see BENCH_inference.json
-    // history).
-    if (rec.meta.kind == TraceOpKind::kGatherEdgeScores &&
+    // step. A partial chain runs unfused.
+    if (fuse && rec.meta.kind == TraceOpKind::kGatherEdgeScores &&
         rec.meta.edges != nullptr) {
       size_t j = i + 1;
       std::shared_ptr<const std::vector<float>> edge_bias;
       const ag::TraceRecord* prev = &rec;
-      if (j < records.size() &&
-          records[j].meta.kind == TraceOpKind::kAddEdgeBias &&
-          records[j].meta.edge_bias != nullptr && link_ok(*prev, records[j])) {
+      if (links(j, TraceOpKind::kAddEdgeBias, *prev) &&
+          records[j].meta.edge_bias != nullptr) {
         edge_bias = records[j].meta.edge_bias;
-        prev = &records[j];
-        ++j;
+        prev = &records[j++];
       }
-      if (j + 2 < records.size() &&
-          records[j].meta.kind == TraceOpKind::kLeakyRelu &&
-          link_ok(*prev, records[j]) &&
-          records[j + 1].meta.kind == TraceOpKind::kEdgeSoftmax &&
-          records[j + 1].meta.edges.get() == rec.meta.edges.get() &&
-          link_ok(records[j], records[j + 1]) &&
-          records[j + 2].meta.kind == TraceOpKind::kEdgeWeightedAggregate &&
-          records[j + 2].meta.edges.get() == rec.meta.edges.get() &&
-          link_ok(records[j + 1], records[j + 2])) {
+      const ag::EdgeStructure* edges = rec.meta.edges.get();
+      if (links(j, TraceOpKind::kLeakyRelu, *prev) &&
+          links(j + 1, TraceOpKind::kEdgeSoftmax, records[j]) &&
+          records[j + 1].meta.edges.get() == edges &&
+          links(j + 2, TraceOpKind::kEdgeWeightedAggregate, records[j + 1]) &&
+          records[j + 2].meta.edges.get() == edges) {
         ag::TraceRecord& aggregate = records[j + 2];
         PlanOp op;
         op.output = aggregate.output;
@@ -362,38 +280,6 @@ std::vector<PlanOp> FuseTraceRecords(std::vector<ag::TraceRecord> records,
         i = j + 3;
         continue;
       }
-    }
-
-    // GatherEdgeScores→LeakyRelu: GAT raw attention scores.
-    if (rec.meta.kind == TraceOpKind::kGatherEdgeScores &&
-        rec.meta.edges != nullptr && next != nullptr &&
-        next->meta.kind == TraceOpKind::kLeakyRelu && link_ok(rec, *next)) {
-      PlanOp op;
-      op.output = next->output;
-      op.inputs = {rec.inputs[0], rec.inputs[1]};
-      op.replay = MakeGatherLeakyReluReplay(rec.meta.edges, next->meta.alpha);
-      op.op_name = "GatherEdgeScores+LeakyRelu";
-      op.fused_ops = 2;
-      ops.push_back(std::move(op));
-      i += 2;
-      continue;
-    }
-
-    // EdgeSoftmax→EdgeWeightedAggregate: attention normalization into
-    // the aggregation (the intermediate is the E x 1 alpha tensor).
-    if (rec.meta.kind == TraceOpKind::kEdgeSoftmax &&
-        rec.meta.edges != nullptr && next != nullptr &&
-        next->meta.kind == TraceOpKind::kEdgeWeightedAggregate &&
-        link_ok(rec, *next)) {
-      PlanOp op;
-      op.output = next->output;
-      op.inputs = {rec.inputs[0], next->inputs[1]};
-      op.replay = MakeEdgeSoftmaxAggregateReplay(rec.meta.edges);
-      op.op_name = "EdgeSoftmax+Aggregate";
-      op.fused_ops = 2;
-      ops.push_back(std::move(op));
-      i += 2;
-      continue;
     }
 
     PlanOp op;
@@ -442,20 +328,7 @@ StatusOr<std::unique_ptr<ExecutionPlan>> ExecutionPlan::Compile(
   // intermediates never get a slot — they are invisible to the
   // lifetime analysis and never enter the workspace sizing run.
   std::vector<PlanOp> fused_ops =
-      fuse_ops ? FuseTraceRecords(std::move(records), root.get())
-               : [&records] {
-                   std::vector<PlanOp> passthrough;
-                   passthrough.reserve(records.size());
-                   for (ag::TraceRecord& rec : records) {
-                     PlanOp op;
-                     op.output = rec.output;
-                     op.inputs = std::move(rec.inputs);
-                     op.replay = std::move(rec.replay);
-                     op.op_name = rec.op_name;
-                     passthrough.push_back(std::move(op));
-                   }
-                   return passthrough;
-                 }();
+      FuseTraceRecords(std::move(records), root.get(), fuse_ops);
 
   // Phase 2: slot assignment. Ops are execution-ordered, so any input
   // not produced by an earlier op must be a leaf (a parameter or a

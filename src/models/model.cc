@@ -1,7 +1,5 @@
 #include "models/model.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <utility>
 
 #include "autograd/inference.h"
@@ -9,56 +7,10 @@
 
 namespace lasagne {
 
-namespace {
-
-bool EnvDisables(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
-bool PlanDefaultFromEnv() { return !EnvDisables("LASAGNE_DISABLE_PLAN"); }
-
-bool FusionDefaultFromEnv() { return !EnvDisables("LASAGNE_DISABLE_FUSION"); }
-
-std::atomic<bool>& PlanDefaultFlag() {
-  static std::atomic<bool> flag{PlanDefaultFromEnv()};
-  return flag;
-}
-
-std::atomic<bool>& FusionDefaultFlag() {
-  static std::atomic<bool> flag{FusionDefaultFromEnv()};
-  return flag;
-}
-
-}  // namespace
-
 Model::Model(std::string name, const Dataset& data)
     : name_(std::move(name)), data_(data) {}
 
 Model::~Model() = default;
-
-void Model::SetExecutionPlanDefault(bool enabled) {
-  PlanDefaultFlag().store(enabled, std::memory_order_relaxed);
-}
-
-bool Model::ExecutionPlanDefault() {
-  return PlanDefaultFlag().load(std::memory_order_relaxed);
-}
-
-void Model::SetPlanFusionDefault(bool enabled) {
-  FusionDefaultFlag().store(enabled, std::memory_order_relaxed);
-}
-
-bool Model::PlanFusionDefault() {
-  return FusionDefaultFlag().load(std::memory_order_relaxed);
-}
-
-void Model::ReloadEnvDefaults() {
-  PlanDefaultFlag().store(PlanDefaultFromEnv(), std::memory_order_relaxed);
-  FusionDefaultFlag().store(FusionDefaultFromEnv(),
-                            std::memory_order_relaxed);
-}
 
 void Model::InvalidateExecutionPlan() {
   plan_.reset();

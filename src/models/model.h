@@ -71,47 +71,32 @@ class Model {
   /// This is the evaluation / serving entry point (EvaluateAccuracy,
   /// infer::InferenceSession).
   ///
-  /// When execution plans are enabled (the default; see
-  /// SetExecutionPlanDefault and the LASAGNE_DISABLE_PLAN env var) the
-  /// first eval-mode call compiles an infer::ExecutionPlan — a traced
-  /// flat op list replayed through a pre-reserved workspace — and
-  /// every later call interprets it, skipping the Forward re-walk and
-  /// all BufferPool traffic (docs/INFERENCE.md). Models whose forward
-  /// contains an op the plan compiler cannot replay fall back to the
-  /// eager path below, permanently and silently (plan_status() says
-  /// why). The eager path runs Forward under ag::NoGradGuard, so no
-  /// autograd tape is built and every intermediate returns to the
-  /// BufferPool as soon as its consumer has run.
+  /// With execution plans enabled (the default; see
+  /// set_use_execution_plan) the first eval-mode call compiles an
+  /// infer::ExecutionPlan — a traced flat op list, its single-consumer
+  /// chains fused unless set_use_plan_fusion(false), replayed through a
+  /// pre-reserved workspace — and every later call interprets it,
+  /// skipping the Forward re-walk and all BufferPool traffic
+  /// (docs/INFERENCE.md). Models whose forward contains an op the plan
+  /// compiler cannot replay fall back to the eager path below,
+  /// permanently and silently (plan_status() says why). The eager path
+  /// runs Forward under ag::NoGradGuard, so no autograd tape is built
+  /// and every intermediate returns to the BufferPool as soon as its
+  /// consumer has run.
   ///
   /// Note: a plan-served Predict does not refresh hidden_states()
   /// (the analysis path uses Forward directly).
   Tensor Predict(const nn::ForwardContext& ctx);
 
-  /// Process-wide default for whether new Predict calls may compile
-  /// and use execution plans. Initialized from the environment: set
-  /// LASAGNE_DISABLE_PLAN to a non-empty value other than "0" to start
-  /// disabled. Instance opt-out: set_use_execution_plan(false).
-  static void SetExecutionPlanDefault(bool enabled);
-  static bool ExecutionPlanDefault();
-
-  /// Process-wide default for whether compiled plans run the op-chain
-  /// fusion pass (docs/INFERENCE.md). Initialized from the
-  /// environment: set LASAGNE_DISABLE_FUSION to a non-empty value
-  /// other than "0" to start disabled. Instance opt-out:
-  /// set_use_plan_fusion(false) — takes effect at the next compile
-  /// (call InvalidateExecutionPlan() to force one).
-  static void SetPlanFusionDefault(bool enabled);
-  static bool PlanFusionDefault();
-
-  /// Re-reads LASAGNE_DISABLE_PLAN / LASAGNE_DISABLE_FUSION into the
-  /// process-wide defaults. The env vars are otherwise read once per
-  /// process; tests that setenv() after startup call this to apply
-  /// them. Existing models keep their instance flags.
-  static void ReloadEnvDefaults();
-
+  /// Whether eval-mode Predict may compile and use an execution plan.
+  /// On by default; off runs every Predict eagerly (the reference for
+  /// plan parity tests and the "eager" serving baseline).
   void set_use_execution_plan(bool enabled) { use_execution_plan_ = enabled; }
   bool use_execution_plan() const { return use_execution_plan_; }
 
+  /// Whether compiled plans run the op-chain fusion pass. On by
+  /// default; takes effect at the next compile (call
+  /// InvalidateExecutionPlan() to force one).
   void set_use_plan_fusion(bool enabled) { use_plan_fusion_ = enabled; }
   bool use_plan_fusion() const { return use_plan_fusion_; }
 
@@ -157,8 +142,8 @@ class Model {
   std::unique_ptr<infer::ExecutionPlan> plan_;
   Status plan_status_;
   bool plan_compile_failed_ = false;
-  bool use_execution_plan_ = ExecutionPlanDefault();
-  bool use_plan_fusion_ = PlanFusionDefault();
+  bool use_execution_plan_ = true;
+  bool use_plan_fusion_ = true;
 };
 
 /// Builds a model by registry name. Known names:

@@ -1,6 +1,5 @@
 #include "nn/layers.h"
 
-#include "autograd/forward_trace.h"
 #include "common/check.h"
 #include "obs/trace.h"
 
@@ -63,17 +62,6 @@ ag::Variable GatHead::Forward(
   ag::Variable wh = ag::MatMul(h, weight_);
   ag::Variable scores_dst = ag::MatMul(wh, attn_dst_);
   ag::Variable scores_src = ag::MatMul(wh, attn_src_);
-  // Single-pass fused attention chain (bitwise-identical to the raw op
-  // chain below in both directions). Not taken when training dropout
-  // sits between the softmax and the aggregation, nor under an active
-  // ForwardTrace — traces keep the raw chain so the execution plan's
-  // super-fusion rule collapses it at compile time (and the plan-nofuse
-  // baseline stays a true per-op replay).
-  if (ag::FusedEdgeAttentionEnabled() && !(ctx.training && dropout > 0.0f) &&
-      !ag::internal::ForwardTraceActive()) {
-    return ag::EdgeAttention(scores_dst, scores_src, wh, edges, 0.2f,
-                             edge_bias);
-  }
   ag::Variable e = ag::GatherEdgeScores(scores_dst, scores_src, edges);
   if (edge_bias != nullptr) e = ag::AddEdgeBias(e, edge_bias);
   e = ag::LeakyRelu(e, 0.2f);

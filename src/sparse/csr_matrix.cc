@@ -113,13 +113,12 @@ Tensor CsrMatrix::Multiply(const Tensor& dense) const {
   // pass: every output element keeps its serial ascending-k
   // accumulation order, so results are bitwise-identical to the serial
   // loop at every thread count (docs/KERNELS.md).
-  const size_t work_per_row =
-      (nnz() / std::max<size_t>(rows_, 1) + 1) * std::max<size_t>(d, 1);
-  const size_t grain = std::max<size_t>(1, kGrain / work_per_row);
-  ParallelFor(0, rows_, grain, [&](size_t row_begin, size_t row_end) {
-    kernels::SpmmRows(row_ptr_.data(), col_idx_.data(), values_.data(),
-                      dense.data(), d, out.data(), row_begin, row_end);
-  });
+  ParallelFor(0, rows_, CsrRowGrain(nnz(), rows_, d),
+              [&](size_t row_begin, size_t row_end) {
+                kernels::SpmmRows(row_ptr_.data(), col_idx_.data(),
+                                  values_.data(), dense.data(), d, out.data(),
+                                  row_begin, row_end);
+              });
   return out;
 }
 

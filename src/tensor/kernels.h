@@ -5,7 +5,8 @@
 #include <cstdint>
 
 // Blocked, explicitly vectorized compute kernels behind Tensor,
-// CsrMatrix, the fused autograd ops and the Adam optimizer.
+// CsrMatrix, the fused autograd ops, the execution-plan fusion pass
+// and the Adam optimizer.
 //
 // Every kernel here is SERIAL over the range it is given — callers own
 // partitioning (ParallelFor over disjoint output rows/columns) exactly
@@ -56,31 +57,6 @@ void GemmRowsNT(const float* a, size_t k_dim, size_t n_dim, const float* b,
                 const float* b_packed, float* out, size_t row_begin,
                 size_t row_end);
 
-/// Fused GEMM + bias row tails, used by the execution-plan fusion pass
-/// (docs/INFERENCE.md). Each runs GemmRowsNN over the row range and
-/// then applies the epilogue to the still-hot output rows. The epilogue
-/// is elementwise, so the result is bitwise-identical to running the
-/// unfused op pair under any partition: the GEMM keeps its ascending-k
-/// accumulation per element, and `out[j] + bias[j]` / the activation
-/// are single rounded float ops either way.
-
-/// out[i] = A[i] * B + bias (bias broadcast over rows).
-void GemmRowsNNBias(const float* a, size_t k_dim, size_t n_dim,
-                    const float* b, const float* b_packed, const float* bias,
-                    float* out, size_t row_begin, size_t row_end);
-
-/// out[i] = relu(A[i] * B + bias).
-void GemmRowsNNBiasRelu(const float* a, size_t k_dim, size_t n_dim,
-                        const float* b, const float* b_packed,
-                        const float* bias, float* out, size_t row_begin,
-                        size_t row_end);
-
-/// out[i] = leaky_relu(A[i] * B + bias, alpha).
-void GemmRowsNNBiasLeakyRelu(const float* a, size_t k_dim, size_t n_dim,
-                             const float* b, const float* b_packed,
-                             const float* bias, float alpha, float* out,
-                             size_t row_begin, size_t row_end);
-
 /// out[i][j] += sum_r A[r][i] * B[r][j] for output rows i in
 /// [col_begin, col_end) (columns of A). A is (m x a_cols), B is
 /// (m x n), out (a_cols x n) must be zero-initialized (memory
@@ -97,24 +73,6 @@ void GemmColsTN(const float* a, size_t a_cols, const float* b, size_t n_dim,
 void SpmmRows(const size_t* row_ptr, const uint32_t* col_idx,
               const float* values, const float* dense, size_t d, float* out,
               size_t row_begin, size_t row_end);
-
-/// Fused SpMM + activation row tails (execution-plan fusion pass):
-/// SpmmRows over the row range, then the activation applied to the
-/// contiguous output block while it is cache-hot. Bitwise-identical to
-/// the unfused SpMM→activation pair (same ascending-k accumulation,
-/// elementwise epilogue).
-void SpmmRowsRelu(const size_t* row_ptr, const uint32_t* col_idx,
-                  const float* values, const float* dense, size_t d,
-                  float* out, size_t row_begin, size_t row_end);
-void SpmmRowsLeakyRelu(const size_t* row_ptr, const uint32_t* col_idx,
-                       const float* values, const float* dense, size_t d,
-                       float alpha, float* out, size_t row_begin,
-                       size_t row_end);
-
-/// Fused elementwise add + ReLU (execution-plan fusion pass):
-/// out = max(a + b, 0). Serial over [0, n); callers chunk via
-/// ParallelFor. Bitwise-identical to EwAdd followed by ReluForward.
-void EwAddRelu(const float* a, const float* b, float* out, size_t n);
 
 /// out[col_idx[k]][j] += values[k] * dense[r][j] for j in
 /// [col_begin, col_end), all rows r ascending. out must be
@@ -140,8 +98,8 @@ void SpmmTransposedCols(const size_t* row_ptr, const uint32_t* col_idx,
 /// `src_scores` are (N x 1), `features` is (N x d), `edge_bias` is an
 /// optional E-length per-edge additive prior (nullptr to skip). Writes
 /// the normalized attention weights into `probs[k]` for every edge k
-/// of the row range (bitwise the eager EdgeSoftmax output — the
-/// backward reuses them) and the aggregated rows into `out`, which may
+/// of the row range (bitwise the eager EdgeSoftmax output) and the
+/// aggregated rows into `out`, which may
 /// be uninitialized (empty rows are zero-filled, matching the eager
 /// zero-init + accumulate). Serial; row ranges touch disjoint `probs`
 /// and `out` regions, so callers partition rows via ParallelFor.
@@ -150,23 +108,6 @@ void EdgeAttentionForward(const size_t* row_ptr, const uint32_t* src,
                           const float* edge_bias, float slope,
                           const float* features, size_t d, float* probs,
                           float* out, size_t row_begin, size_t row_end);
-
-/// Backward for the fused chain: given the upstream gradient `g`
-/// (N x d) and the forward's normalized `probs`, produces the exact
-/// gradient chain of the unfused ops — aggregate backward (per-edge
-/// double dot g·feature), softmax backward (p * (dw - <dw, p>)), leaky
-/// backward (raw scores are recomputed from the inputs for the sign
-/// test; bitwise reproducible), and the gather/bias scatters. Outputs
-/// `d_dst` (N x 1), `d_src` (N x 1), `d_feat` (N x d) must be
-/// zero-initialized. Serial over ALL rows (the d_src/d_feat scatters
-/// cross row boundaries, matching the eager serial backward);
-/// `edge_scratch` holds E floats.
-void EdgeAttentionBackward(const size_t* row_ptr, const uint32_t* src,
-                           size_t num_nodes, const float* dst_scores,
-                           const float* src_scores, const float* edge_bias,
-                           float slope, const float* features, size_t d,
-                           const float* probs, const float* g, float* d_dst,
-                           float* d_src, float* d_feat, float* edge_scratch);
 
 // -- Blocked SpGEMM row merge ------------------------------------------------
 

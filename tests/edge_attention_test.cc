@@ -1,31 +1,28 @@
 // The single-pass fused edge-attention kernel (docs/KERNELS.md) and
-// the blocked SpGEMM row merge: the fused eager path must be
-// bitwise-identical to the raw GatherEdgeScores→[AddEdgeBias]→
-// LeakyRelu→EdgeSoftmax→EdgeWeightedAggregate chain at 1/2/8 threads
-// with observability on and off (GAT and ADSF end to end, plus the op
-// across shape/structure edge cases), and the blocked Gustavson merge
-// must reproduce the naive unblocked merge exactly — including the
-// row_cap cut, whose tie-break must not depend on the order the merge
-// discovered columns in.
+// the blocked SpGEMM row merge: the execution plan's EdgeAttention step
+// must be bitwise-identical to the raw GatherEdgeScores→[AddEdgeBias]→
+// LeakyRelu→EdgeSoftmax→EdgeWeightedAggregate chain it replaces at
+// 1/2/8 threads, across shape and structure edge cases, and the
+// blocked Gustavson merge must reproduce the naive unblocked merge
+// exactly — including the row_cap cut, whose tie-break must not depend
+// on the order the merge discovered columns in.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "autograd/edge_ops.h"
-#include "autograd/inference.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "common/thread_pool.h"
-#include "data/registry.h"
+#include "infer/plan.h"
 #include "models/model.h"
-#include "nn/layers.h"
-#include "obs/metrics.h"
 #include "sparse/csr_matrix.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
@@ -39,20 +36,6 @@ class ThreadCountGuard {
   ~ThreadCountGuard() { SetNumThreads(0); }
 };
 
-/// Restores the fused-path toggle (and metrics) no matter how a test
-/// exits.
-class FusedToggleGuard {
- public:
-  FusedToggleGuard() : saved_(ag::FusedEdgeAttentionEnabled()) {}
-  ~FusedToggleGuard() {
-    ag::SetFusedEdgeAttentionEnabled(saved_);
-    obs::DisableMetrics();
-  }
-
- private:
-  bool saved_;
-};
-
 void ExpectBitwiseEqual(const Tensor& a, const Tensor& b,
                         const std::string& what) {
   ASSERT_EQ(a.rows(), b.rows()) << what;
@@ -61,49 +44,7 @@ void ExpectBitwiseEqual(const Tensor& a, const Tensor& b,
       << what << ": fused values differ from the raw op chain";
 }
 
-ModelConfig SmallConfig() {
-  ModelConfig config;
-  config.depth = 2;
-  config.hidden_dim = 16;
-  config.dropout = 0.4f;
-  config.seed = 3;
-  return config;
-}
-
-Tensor EagerLogits(Model& model) {
-  Rng rng(9);
-  nn::ForwardContext ctx{/*training=*/false, &rng};
-  return model.Forward(ctx)->value();
-}
-
-// -- Fused eager path vs raw chain, end to end ------------------------------
-
-TEST(EdgeAttentionParityTest, FusedModelsMatchRawChainAcrossThreadsAndObs) {
-  ThreadCountGuard thread_guard;
-  FusedToggleGuard toggle_guard;
-  Dataset data = LoadDataset("cora", 0.3, 17);
-  // adsf routes a structural-fingerprint bias through the chain, so
-  // both the biased and unbiased kernels are covered.
-  for (const char* name : {"gat", "adsf"}) {
-    std::unique_ptr<Model> model = MakeModel(name, data, SmallConfig());
-    // Pure eager: the execution plan has its own parity suites.
-    model->set_use_execution_plan(false);
-    ag::SetFusedEdgeAttentionEnabled(false);
-    const Tensor reference = EagerLogits(*model);
-    ag::SetFusedEdgeAttentionEnabled(true);
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      SetNumThreads(threads);
-      const std::string tag =
-          std::string(name) + " @ " + std::to_string(threads) + " threads";
-      ExpectBitwiseEqual(reference, EagerLogits(*model), tag);
-      obs::EnableMetrics();
-      ExpectBitwiseEqual(reference, EagerLogits(*model), tag + ", obs on");
-      obs::DisableMetrics();
-    }
-  }
-}
-
-// -- Op-level parity across shapes and structures ---------------------------
+// -- Plan EdgeAttention step vs raw chain across shapes and structures ------
 
 /// Random destination-grouped structure with deliberately awkward
 /// rows: some isolated, some single-edge, some high fan-in.
@@ -127,9 +68,44 @@ std::shared_ptr<const ag::EdgeStructure> RandomEdges(size_t num_nodes,
   return edges;
 }
 
+/// A model whose whole forward is one raw attention chain, so its
+/// compiled plan is exactly one EdgeAttention step over the given
+/// structure and feature width.
+class AttentionChainModel : public Model {
+ public:
+  AttentionChainModel(const Dataset& data,
+                      std::shared_ptr<const ag::EdgeStructure> edges,
+                      ag::Variable dst, ag::Variable src,
+                      ag::Variable features,
+                      std::shared_ptr<const std::vector<float>> bias)
+      : Model("attention-chain", data),
+        edges_(std::move(edges)),
+        dst_(std::move(dst)),
+        src_(std::move(src)),
+        features_(std::move(features)),
+        bias_(std::move(bias)) {}
+
+  ag::Variable Forward(const nn::ForwardContext&) override {
+    ag::Variable e = ag::GatherEdgeScores(dst_, src_, edges_);
+    if (bias_ != nullptr) e = ag::AddEdgeBias(e, bias_);
+    e = ag::LeakyRelu(e, 0.2f);
+    return ag::EdgeWeightedAggregate(ag::EdgeSoftmax(e, edges_), features_,
+                                     edges_);
+  }
+
+  std::vector<ag::Variable> Parameters() const override { return {}; }
+
+ private:
+  std::shared_ptr<const ag::EdgeStructure> edges_;
+  ag::Variable dst_;
+  ag::Variable src_;
+  ag::Variable features_;
+  std::shared_ptr<const std::vector<float>> bias_;
+};
+
 TEST(EdgeAttentionParityTest, OpMatchesRawChainOnAwkwardShapes) {
   ThreadCountGuard thread_guard;
-  ag::NoGradGuard inference;
+  const Dataset no_data;  // the chain reads only its own constants
   const size_t n = 37;
   auto edges = RandomEdges(n, 123);
   Rng rng(7);
@@ -147,23 +123,25 @@ TEST(EdgeAttentionParityTest, OpMatchesRawChainOnAwkwardShapes) {
     ag::Variable features =
         ag::MakeConstant(Tensor::Normal(n, d, 0.0f, 0.6f, rng));
     for (const bool with_bias : {false, true}) {
-      const auto chain_bias = with_bias ? bias : nullptr;
-      ag::Variable e = ag::GatherEdgeScores(dst, src, edges);
-      if (chain_bias != nullptr) e = ag::AddEdgeBias(e, chain_bias);
-      e = ag::LeakyRelu(e, 0.2f);
-      const Tensor reference =
-          ag::EdgeWeightedAggregate(ag::EdgeSoftmax(e, edges), features,
-                                    edges)
-              ->value();
+      AttentionChainModel model(no_data, edges, dst, src, features,
+                                with_bias ? bias : nullptr);
+      Rng ctx_rng(9);
+      const nn::ForwardContext ctx{/*training=*/false, &ctx_rng};
+      const Tensor reference = model.Forward(ctx)->value();
+      const std::string shape =
+          "d=" + std::to_string(d) + " bias=" + std::to_string(with_bias);
       for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
         SetNumThreads(threads);
-        const Tensor fused =
-            ag::EdgeAttention(dst, src, features, edges, 0.2f, chain_bias)
-                ->value();
-        ExpectBitwiseEqual(reference, fused,
-                           "d=" + std::to_string(d) + " bias=" +
-                               std::to_string(with_bias) + " threads=" +
-                               std::to_string(threads));
+        const Tensor planned = model.Predict(ctx);
+        ASSERT_NE(model.execution_plan(), nullptr)
+            << shape << ": " << model.plan_status().ToString();
+        const infer::PlanOpSummary summary =
+            model.execution_plan()->OpSummary();
+        EXPECT_EQ(summary.steps, 1u) << shape << ": " << summary.ToString();
+        EXPECT_EQ(summary.Count("EdgeAttention"), 1u)
+            << shape << ": " << summary.ToString();
+        ExpectBitwiseEqual(reference, planned,
+                           shape + " threads=" + std::to_string(threads));
       }
     }
   }

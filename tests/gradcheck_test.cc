@@ -9,7 +9,6 @@
 // flags it.
 
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -425,108 +424,6 @@ TEST(GradCheckTest, EdgeWeightedAggregate) {
                 },
                 {weights, features}),
             kTol);
-}
-
-// -- Single-pass fused edge attention ---------------------------------------
-
-TEST(GradCheckTest, EdgeAttentionFused) {
-  auto edges = TinyEdges();
-  const size_t n = edges->num_nodes;
-  ag::Variable dst = Param(n, 1, 50);
-  ag::Variable src = Param(n, 1, 51);
-  // d = 6 straddles the SIMD width on every ISA tier (one partial
-  // vector on AVX2, vector+tail on SSE2).
-  ag::Variable features = Param(n, 6, 52);
-  EXPECT_LT(GradCheckDouble(
-                [&] {
-                  return Scalarize(ag::EdgeAttention(dst, src, features,
-                                                     edges, 0.2f, nullptr));
-                },
-                {dst, src, features}),
-            kTol);
-}
-
-TEST(GradCheckTest, EdgeAttentionFusedWithEdgeBias) {
-  auto edges = TinyEdges();
-  const size_t n = edges->num_nodes;
-  ag::Variable dst = Param(n, 1, 53);
-  ag::Variable src = Param(n, 1, 54);
-  ag::Variable features = Param(n, 3, 55);
-  auto bias = std::make_shared<std::vector<float>>();
-  Rng rng(56);
-  for (size_t e = 0; e < edges->num_edges(); ++e) {
-    bias->push_back(static_cast<float>(rng.Normal(0.0, 0.5)));
-  }
-  EXPECT_LT(GradCheckDouble(
-                [&] {
-                  return Scalarize(
-                      ag::EdgeAttention(dst, src, features, edges, 0.2f, bias));
-                },
-                {dst, src, features}),
-            kTol);
-}
-
-TEST(GradCheckTest, EdgeAttentionFusedIsolatedAndSingleEdgeRows) {
-  // Hand-built structure: node 1 receives nothing (isolated — zero
-  // output row, zero gradient contribution), node 2 receives exactly
-  // one edge (softmax collapses to 1.0, a degenerate gradient path).
-  auto built = std::make_shared<ag::EdgeStructure>();
-  built->num_nodes = 4;
-  built->row_ptr = {0, 2, 2, 3, 5};
-  built->src = {1, 3, 0, 2, 3};
-  std::shared_ptr<const ag::EdgeStructure> edges = built;
-  ag::Variable dst = Param(4, 1, 57);
-  ag::Variable src = Param(4, 1, 58);
-  ag::Variable features = Param(4, 5, 59);
-  EXPECT_LT(GradCheckDouble(
-                [&] {
-                  return Scalarize(ag::EdgeAttention(dst, src, features,
-                                                     edges, 0.2f, nullptr));
-                },
-                {dst, src, features}),
-            kTol);
-}
-
-TEST(GradCheckTest, EdgeAttentionGradientsMatchUnfusedChainBitwise) {
-  // Stronger than finite differences: the fused backward must produce
-  // the raw chain's gradients bit for bit (same float sequences, same
-  // accumulation orders).
-  auto edges = TinyEdges();
-  const size_t n = edges->num_nodes;
-  auto bias = std::make_shared<std::vector<float>>();
-  Rng rng(60);
-  for (size_t e = 0; e < edges->num_edges(); ++e) {
-    bias->push_back(static_cast<float>(rng.Normal(0.0, 0.5)));
-  }
-  for (const bool with_bias : {false, true}) {
-    ag::Variable dst = Param(n, 1, 61);
-    ag::Variable src = Param(n, 1, 62);
-    ag::Variable features = Param(n, 7, 63);
-    const auto chain_bias = with_bias ? bias : nullptr;
-
-    ag::Variable fused = Scalarize(
-        ag::EdgeAttention(dst, src, features, edges, 0.2f, chain_bias));
-    ag::Backward(fused);
-    const Tensor d_dst = dst->grad();
-    const Tensor d_src = src->grad();
-    const Tensor d_feat = features->grad();
-
-    for (const ag::Variable& p : {dst, src, features}) p->ZeroGrad();
-    ag::Variable e = ag::GatherEdgeScores(dst, src, edges);
-    if (chain_bias != nullptr) e = ag::AddEdgeBias(e, chain_bias);
-    e = ag::LeakyRelu(e, 0.2f);
-    ag::Variable unfused = Scalarize(ag::EdgeWeightedAggregate(
-        ag::EdgeSoftmax(e, edges), features, edges));
-    ag::Backward(unfused);
-
-    EXPECT_EQ(fused->value()(0, 0), unfused->value()(0, 0));
-    EXPECT_EQ(0, std::memcmp(d_dst.data(), dst->grad().data(),
-                             d_dst.size() * sizeof(float)));
-    EXPECT_EQ(0, std::memcmp(d_src.data(), src->grad().data(),
-                             d_src.size() * sizeof(float)));
-    EXPECT_EQ(0, std::memcmp(d_feat.data(), features->grad().data(),
-                             d_feat.size() * sizeof(float)));
-  }
 }
 
 // -- Factorization-machine op -----------------------------------------------

@@ -354,7 +354,11 @@ TEST(InferenceServingTest, ConcurrentPoolTrafficDoesNotContaminateStats) {
   // round once the freelist is exhausted). The bucket (16384 floats)
   // is one the serving path never touches, so the noise cannot eat the
   // session's own warmed freelists.
+  // The session starts serving only once the noise has run a round: on
+  // a loaded machine the noisy thread may otherwise not be scheduled
+  // before the 20 requests finish.
   std::atomic<bool> stop{false};
+  std::atomic<bool> noise_started{false};
   std::atomic<uint64_t> noise_misses{0};
   std::thread noisy([&] {
     const BufferPool::ThreadStats start = BufferPool::GetThreadStats();
@@ -365,9 +369,11 @@ TEST(InferenceServingTest, ConcurrentPoolTrafficDoesNotContaminateStats) {
       for (float* p : held) pool.Release(p, 16384);
       held.clear();
       if (batch < 64) ++batch;
+      noise_started.store(true);
     }
     noise_misses.store(BufferPool::GetThreadStats().misses - start.misses);
   });
+  while (!noise_started.load()) std::this_thread::yield();
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(session.ServeBatch({0, 1, 2, 3}).ok());
   }

@@ -299,16 +299,6 @@ TEST(PlanFallbackTest, OptOutFlagsForceEager) {
   ExpectBitwiseEqual(reference, PlanLogits(*model), "instance opt-out");
   EXPECT_EQ(model->execution_plan(), nullptr);
   EXPECT_TRUE(model->plan_status().ok());
-
-  // Process default: models built while disabled start opted out.
-  const bool saved = Model::ExecutionPlanDefault();
-  Model::SetExecutionPlanDefault(false);
-  std::unique_ptr<Model> eager_model = MakeModel("gcn", data, SmallConfig());
-  Model::SetExecutionPlanDefault(saved);
-  EXPECT_FALSE(eager_model->use_execution_plan());
-  ExpectBitwiseEqual(EagerLogits(*eager_model), PlanLogits(*eager_model),
-                     "process-default opt-out");
-  EXPECT_EQ(eager_model->execution_plan(), nullptr);
 }
 
 // -- Trace capture ---------------------------------------------------------
