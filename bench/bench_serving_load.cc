@@ -8,12 +8,11 @@
 // degradation: p99 rises, but every request still gets exactly one
 // terminal outcome and shutdown drains deterministically.
 //
-// Each row runs a warmup phase first (magazines and workspaces fill),
-// then measures a steady phase: QPS is computed over the steady window
-// only, and the buffer-pool columns report steady-phase deltas —
-// magazine hits, depot refills/flushes, and the amortized depot
-// exchanges per request that the pool-sharding gate enforces stays
-// well below one (docs/SERVING.md "Pool sharding").
+// Each row runs a warmup phase first (pool freelists and workspaces
+// fill), then measures a steady phase: QPS is computed over the steady
+// window only, and the buffer-pool column reports the steady-phase miss
+// delta that the pool gate keeps marginal (docs/SERVING.md "Buffer
+// pool").
 //
 // Reported per row: sustained QPS, p50/p99 latency, reject rate
 // (queue-full admission control), deadline-miss rate, pool columns,
@@ -24,8 +23,8 @@
 //
 // Writes BENCH_serving.json (override with --json-out PATH);
 // tools/check_bench_regression.py --serving-* compares a fresh run
-// against the committed baseline and --pool-* gates the sharding
-// counters. QPS / p99 get a generous tolerance (wall-clock dependent);
+// against the committed baseline and --pool-* gates the steady-phase
+// pool misses. QPS / p99 get a generous tolerance (wall-clock dependent);
 // the invariants get none.
 
 #include <algorithm>
@@ -74,13 +73,9 @@ struct LoadResult {
   double miss_rate = 0.0;
   bool accounting_ok = false;
   bool drained = false;
-  // Steady-phase pool-sharding deltas (warmup excluded).
+  // Steady-phase pool deltas (warmup excluded).
   uint64_t steady_requests = 0;
-  uint64_t magazine_hits = 0;
-  uint64_t depot_refills = 0;
-  uint64_t depot_flushes = 0;
   uint64_t steady_pool_misses = 0;
-  double depot_exchanges_per_request = 0.0;
 };
 
 LoadResult RunLoad(const Dataset& data, size_t workers, size_t rounds,
@@ -113,9 +108,8 @@ LoadResult RunLoad(const Dataset& data, size_t workers, size_t rounds,
   // One set of persistent producers runs warmup rounds, pauses at a
   // barrier while the main thread snapshots the pool and server
   // counters, then continues into the measured steady phase. Keeping
-  // the same threads across the boundary is the point: their magazines
-  // stay warm, so the steady window measures reuse, not the one-time
-  // magazine fill a fresh thread pays.
+  // the same threads across the boundary is the point: the steady
+  // window measures reuse, not the one-time fill a fresh thread pays.
   const size_t warmup_rounds = std::max<size_t>(2, rounds / 4);
   std::mutex barrier_mu;
   std::condition_variable barrier_cv;
@@ -198,15 +192,7 @@ LoadResult RunLoad(const Dataset& data, size_t workers, size_t rounds,
                       : 0.0;
   out.accounting_ok = stats.Accounted();
   out.drained = server.queue_depth() == 0;
-  out.magazine_hits = pool_after.magazine_hits - pool_before.magazine_hits;
-  out.depot_refills = pool_after.depot_refills - pool_before.depot_refills;
-  out.depot_flushes = pool_after.depot_flushes - pool_before.depot_flushes;
   out.steady_pool_misses = pool_after.misses - pool_before.misses;
-  out.depot_exchanges_per_request =
-      out.steady_requests > 0
-          ? static_cast<double>(out.depot_refills + out.depot_flushes) /
-                static_cast<double>(out.steady_requests)
-          : 0.0;
   return out;
 }
 
@@ -240,8 +226,7 @@ void WriteJson(const std::string& path, size_t threads, double scale,
               "generously; the 4w>=1w scaling gate only applies when "
               "hw_cores >= 4). The robustness invariants — "
               "accounting_ok, drained, failed==0 on unfaulted rows — "
-              "and the pool-sharding counters (steady-phase depot "
-              "exchanges amortized below one per request) are hardware "
+              "and the steady-phase pool misses are hardware "
               "independent and gated strictly."));
   obs::JsonValue arr = obs::JsonValue::Array();
   for (const LoadResult& r : results) {
@@ -271,17 +256,9 @@ void WriteJson(const std::string& path, size_t threads, double scale,
     row.Set("drained", obs::JsonValue::Bool(r.drained));
     row.Set("steady_requests",
             obs::JsonValue::Number(static_cast<double>(r.steady_requests)));
-    row.Set("magazine_hits",
-            obs::JsonValue::Number(static_cast<double>(r.magazine_hits)));
-    row.Set("depot_refills",
-            obs::JsonValue::Number(static_cast<double>(r.depot_refills)));
-    row.Set("depot_flushes",
-            obs::JsonValue::Number(static_cast<double>(r.depot_flushes)));
     row.Set("steady_pool_misses",
             obs::JsonValue::Number(
                 static_cast<double>(r.steady_pool_misses)));
-    row.Set("depot_exchanges_per_request",
-            obs::JsonValue::Number(r.depot_exchanges_per_request));
     arr.Append(std::move(row));
   }
   doc.Set("results", std::move(arr));
@@ -306,9 +283,9 @@ void Run(const std::string& json_out, size_t threads) {
               kDeadlineMs, threads);
 
   std::vector<LoadResult> results;
-  bench::TablePrinter table({10, 9, 9, 9, 8, 8, 9, 9, 7, 7});
+  bench::TablePrinter table({10, 9, 9, 9, 8, 8, 11, 7, 7});
   table.Row({"config", "QPS", "p50 ms", "p99 ms", "rej%", "miss%",
-             "mag hits", "depot/rq", "acct", "drain"});
+             "pool miss", "acct", "drain"});
   table.Rule();
   struct RowSpec {
     size_t workers;
@@ -317,16 +294,14 @@ void Run(const std::string& json_out, size_t threads) {
   const RowSpec specs[] = {{1, false}, {2, false}, {4, false}, {2, true}};
   for (const RowSpec& spec : specs) {
     LoadResult r = RunLoad(data, spec.workers, rounds, spec.faulted);
-    char buf[6][32];
+    char buf[5][32];
     std::snprintf(buf[0], sizeof(buf[0]), "%.1f", r.qps);
     std::snprintf(buf[1], sizeof(buf[1]), "%.2f", r.p50_ms);
     std::snprintf(buf[2], sizeof(buf[2]), "%.2f", r.p99_ms);
     std::snprintf(buf[3], sizeof(buf[3]), "%.1f", 100.0 * r.reject_rate);
     std::snprintf(buf[4], sizeof(buf[4]), "%.1f", 100.0 * r.miss_rate);
-    std::snprintf(buf[5], sizeof(buf[5]), "%.3f",
-                  r.depot_exchanges_per_request);
     table.Row({r.label, buf[0], buf[1], buf[2], buf[3], buf[4],
-               std::to_string(r.magazine_hits), buf[5],
+               std::to_string(r.steady_pool_misses),
                r.accounting_ok ? "ok" : "FAIL", r.drained ? "ok" : "FAIL"});
     std::fflush(stdout);
     results.push_back(r);
@@ -336,11 +311,9 @@ void Run(const std::string& json_out, size_t threads) {
       "\nInvariants: every submitted request gets exactly one terminal\n"
       "outcome (acct) and shutdown drains the queue deterministically\n"
       "(drain) — on every row, including the fault-injected one. The\n"
-      "pool columns cover the steady phase only: depot/rq is the\n"
-      "amortized depot-exchange count per served request, which the\n"
-      "sharded pool keeps well below one (magazine layer, see\n"
-      "docs/SERVING.md). Gated by tools/check_bench_regression.py\n"
-      "--serving-* and --pool-*.\n");
+      "pool miss column covers the steady phase only (see\n"
+      "docs/SERVING.md \"Buffer pool\"). Gated by\n"
+      "tools/check_bench_regression.py --serving-* and --pool-*.\n");
   WriteJson(json_out, threads, scale, rounds, results);
 }
 

@@ -10,10 +10,6 @@
 
 namespace lasagne {
 
-namespace internal {
-struct Magazine;
-}  // namespace internal
-
 /// Process-wide, thread-safe, size-bucketed pool of 64-byte-aligned
 /// float buffers.
 ///
@@ -26,57 +22,38 @@ struct Magazine;
 /// epoch has populated the buckets, steady-state training allocates
 /// (almost) nothing.
 ///
-/// The pool is sharded (docs/SERVING.md "Pool sharding"): every thread
-/// keeps a small bounded *magazine* per bucket — acquire pops and
-/// release pushes it with zero locking — and only magazine
-/// overflow/underflow exchanges a batch of kMagazineBatch chunks with
-/// the mutex-guarded global *depot*. A warm worker thread therefore
-/// acquires and releases on the steady-state path without ever taking
-/// the depot mutex; cross-thread releases (acquired on A, freed on B)
-/// are safe because chunks of one bucket are interchangeable — the
-/// chunk simply lands in B's magazine and flows back through the depot
-/// when B's magazine overflows.
+/// One mutex guards every freelist and the cached-byte balance
+/// (docs/SERVING.md "Buffer pool"). Pool traffic is a few acquires per
+/// request or a few hundred per training epoch, against kernels that
+/// run for milliseconds, so the lock is never the bottleneck. Chunks of
+/// one bucket are interchangeable, so a buffer acquired on one thread
+/// and released on another simply returns to the shared freelist.
 ///
 /// Buffers are uninitialized on acquire — callers that need zeros must
 /// clear them (Tensor's zeroing constructor does). A global byte cap
-/// bounds cached memory *across the depot and every magazine*: caching
-/// a released buffer atomically reserves its bytes against the cap
-/// first, so concurrent releases can never overshoot it; releases that
-/// fail the reservation free eagerly and count as evictions. Requests
-/// larger than the top bucket bypass the freelists and the cap
-/// entirely (served straight from the allocator, counted as misses).
-/// Under AddressSanitizer the cache is bypassed (every acquire is a
-/// fresh allocation) so use-after-free of pooled storage stays visible
-/// to the sanitizer.
+/// bounds cached memory: a release caches its buffer only if
+/// `cached_bytes + bytes <= limit` under the lock, and otherwise frees
+/// it and counts an eviction. Requests larger than the top bucket
+/// bypass the freelists and the cap entirely (served straight from the
+/// allocator, counted as misses). Under AddressSanitizer the cache is
+/// bypassed (kCachesBuffers is false: every acquire is a fresh
+/// allocation) so use-after-free of pooled storage stays visible to the
+/// sanitizer.
 ///
-/// Trim() frees the depot and the calling thread's magazine eagerly
-/// and marks every other thread's magazine stale (epoch bump); a stale
-/// magazine frees its chunks on that thread's next pool interaction,
-/// and a thread that exits drains its magazine into the depot. So
-/// after Trim() the pool is cold for every thread that touches it
-/// again, while idle threads' cached bytes linger only until they next
-/// allocate or exit.
-///
-/// Stats are always-on relaxed atomics (a few nanoseconds per alloc);
-/// when the observability registry is enabled the pool also mirrors
-/// hits/misses into `tensor.alloc.pool_hits` /
-/// `tensor.alloc.pool_misses`, magazine-served hits into
-/// `tensor.alloc.magazine_hits`, and depot exchanges into
-/// `tensor.alloc.depot_refills` / `tensor.alloc.depot_flushes`.
+/// Hit/miss counters are always-on relaxed atomics (a few nanoseconds
+/// per alloc); when the observability registry is enabled the pool also
+/// mirrors hits/misses into `tensor.alloc.pool_hits` /
+/// `tensor.alloc.pool_misses`.
 class BufferPool {
  public:
   struct Stats {
     uint64_t hits = 0;        // acquires served from a freelist
     uint64_t misses = 0;      // acquires that had to allocate
     uint64_t evictions = 0;   // releases freed because of the byte cap
-    uint64_t cached_bytes = 0;  // bytes cached across depot + magazines
-    // Sharding counters (docs/SERVING.md "Pool sharding"):
-    uint64_t magazine_hits = 0;   // subset of hits served lock-free from
-                                  // the calling thread's magazine
-    uint64_t depot_refills = 0;   // magazine<-depot batch fetches (each
-                                  // takes the depot mutex once)
-    uint64_t depot_flushes = 0;   // magazine->depot batch returns (each
-                                  // takes the depot mutex once)
+    uint64_t cached_bytes = 0;  // bytes held in the freelists
+    uint64_t magazine_hits = 0;  // nothing writes it: always 0
+    uint64_t depot_refills = 0;  // nothing writes it: always 0
+    uint64_t depot_flushes = 0;  // nothing writes it: always 0
     uint64_t oversize_acquires = 0;  // requests above the top bucket,
                                      // served straight from the
                                      // allocator (also counted as
@@ -105,13 +82,21 @@ class BufferPool {
   static constexpr size_t kMinBucketLog2 = 6;
   static constexpr size_t kNumBuckets = 35;
 
-  // Magazine geometry (exposed for tests): each thread caches at most
-  // kMagazineChunks chunks per bucket and exchanges kMagazineBatch
-  // chunks with the depot per mutex acquisition, so steady-state depot
-  // traffic is amortized 1/kMagazineBatch per cross-thread release and
-  // zero for same-thread reuse.
-  static constexpr size_t kMagazineChunks = 16;
-  static constexpr size_t kMagazineBatch = 8;
+  // False under AddressSanitizer, where reuse would hide use-after-free
+  // of tensor storage: every acquire allocates and every release frees.
+  // (The TSan build keeps the cache: concurrent checkout is exactly
+  // what it should exercise.)
+#if defined(__SANITIZE_ADDRESS__)
+  static constexpr bool kCachesBuffers = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+  static constexpr bool kCachesBuffers = false;
+#else
+  static constexpr bool kCachesBuffers = true;
+#endif
+#else
+  static constexpr bool kCachesBuffers = true;
+#endif
 
   static BufferPool& Global();
 
@@ -201,22 +186,18 @@ class BufferPool {
   void Release(float* ptr, size_t count);
 
   Stats GetStats() const;
-  /// Resets the global hit/miss/eviction/sharding counters (not
+  /// Resets the global hit/miss/eviction/oversize counters (not
   /// cached_bytes, which is an accounting balance, and not any
   /// thread's ThreadStats — see the monotonic contract above).
   void ResetStats();
 
   /// Frees every cached buffer (outstanding buffers are unaffected).
-  /// The depot and the calling thread's magazine are freed eagerly;
-  /// other threads' magazines are marked stale and free themselves on
-  /// that thread's next Acquire/Release (or move to the depot when the
-  /// thread exits).
+  /// Exact for every thread: afterwards cached_bytes is 0.
   void Trim();
 
-  /// Caps the total bytes kept cached (depot + all magazines).
-  /// Releases that would exceed the cap free their buffer instead of
-  /// caching it. Lowering the cap does not evict retroactively — call
-  /// Trim() to flush immediately.
+  /// Caps the total bytes kept cached. Releases that would exceed the
+  /// cap free their buffer instead of caching it. Lowering the cap does
+  /// not evict retroactively — call Trim() to flush immediately.
   void SetCachedBytesLimit(uint64_t bytes);
   uint64_t cached_bytes_limit() const {
     return limit_.load(std::memory_order_relaxed);
@@ -239,61 +220,21 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
  private:
-  friend struct internal::Magazine;
-
   BufferPool() = default;
 
-  /// Atomically reserves `bytes` against the cache cap. The
-  /// reservation IS the cap check: concurrent releases each
-  /// fetch_add-then-verify, so the sum of successful reservations can
-  /// never exceed the limit (the failing side backs its bytes out).
-  bool TryReserveCachedBytes(uint64_t bytes);
-
-  /// Frees a thread's stale magazine if a Trim happened since it last
-  /// touched the pool.
-  void SyncMagazineEpoch(internal::Magazine& mag);
-
-  /// Thread-exit hook (Magazine destructor): a current-epoch magazine
-  /// splices its chunks into the depot (bytes stay cached); a stale
-  /// one frees them.
-  void DrainMagazineOnThreadExit(internal::Magazine& mag);
-
-  /// Frees every chunk in `list` and returns the bytes to the cap
-  /// accounting. `capacity` is the bucket capacity in floats.
-  void FreeChunkList(std::vector<float*>& list, size_t capacity);
-
-  std::mutex mutex_;  // guards free_lists_ (the depot)
+  mutable std::mutex mutex_;  // guards free_lists_ and cached_bytes_
   std::array<std::vector<float*>, kNumBuckets> free_lists_;
+  uint64_t cached_bytes_ = 0;
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> cached_bytes_{0};
   std::atomic<uint64_t> limit_{512ull << 20};  // 512 MiB default
-  std::atomic<uint64_t> magazine_hits_{0};
-  std::atomic<uint64_t> depot_refills_{0};
-  std::atomic<uint64_t> depot_flushes_{0};
   std::atomic<uint64_t> oversize_{0};
-  std::atomic<uint64_t> trim_epoch_{0};
   std::atomic<size_t> bucket_count_{kNumBuckets};
 };
 
 namespace internal {
-
-/// Per-thread freelist cache ("magazine"): one bounded LIFO stack of
-/// chunks per bucket, touched only by its owning thread, so pops and
-/// pushes need no lock. Defined here (not in the .cc) so BufferPool
-/// member functions can take it by reference; constructed lazily as a
-/// thread_local in buffer_pool.cc, and its destructor drains the cache
-/// back to the depot on thread exit.
-struct Magazine {
-  ~Magazine();
-
-  std::array<std::vector<float*>, BufferPool::kNumBuckets> chunks;
-  /// Last trim_epoch_ this magazine synchronized with; a mismatch
-  /// means a Trim() happened and the cached chunks must be freed.
-  uint64_t epoch = 0;
-};
 
 /// RAII float buffer checked out of BufferPool::Global(). Move-only;
 /// the destructor returns the storage to the pool. This is the storage

@@ -357,11 +357,8 @@ void InferenceServer::ServeBatchOnWorker(size_t worker_index,
     // This worker's own pool traffic only: the kernels run inline on
     // this thread (ParallelRegionGuard), so thread-local deltas see
     // every allocation of this batch and nothing from sibling workers.
-    // Sharding keeps these semantics: each worker's magazine is part of
-    // its thread-local state, so warm batches hit the magazine without
-    // taking the depot mutex, and the delta below still counts exactly
-    // this batch (ThreadStats are monotonic across ResetStats — see
-    // buffer_pool.h).
+    // ThreadStats are monotonic across ResetStats (see buffer_pool.h),
+    // so the delta below counts exactly this batch.
     const BufferPool::ThreadStats pool_before = BufferPool::GetThreadStats();
     const auto compute_start = Clock::now();
     std::vector<size_t> rows;

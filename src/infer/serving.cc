@@ -212,9 +212,7 @@ StatusOr<Tensor> InferenceSession::ServeBatch(
   // requests happened to be in flight). The counters are monotonic
   // across BufferPool::ResetStats() — see the contract in
   // buffer_pool.h — so this delta stays exact regardless of who resets
-  // the global stats mid-run. With the sharded pool a warm session's
-  // hits here are magazine hits: same-thread acquire/release cycles
-  // never touch the depot mutex.
+  // the global stats mid-run.
   const BufferPool::ThreadStats pool_before = BufferPool::GetThreadStats();
   const auto start = std::chrono::steady_clock::now();
 

@@ -4,6 +4,7 @@
 
 #include "autograd/inference.h"
 #include "infer/plan.h"
+#include "obs/metrics.h"
 
 namespace lasagne {
 
@@ -26,6 +27,13 @@ bool Model::EnsureExecutionPlan() {
   if (!compiled.ok()) {
     plan_status_ = compiled.status();
     plan_compile_failed_ = true;
+    // Counted once per failed compile: the failure is remembered, so
+    // later Predicts fall back to eager without recounting.
+    if (obs::MetricsEnabled()) {
+      static obs::Counter& fallbacks =
+          obs::MetricsRegistry::Global().GetCounter("infer.plan.fallbacks");
+      fallbacks.Increment();
+    }
     return false;
   }
   plan_ = std::move(compiled).value();

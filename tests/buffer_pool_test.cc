@@ -3,6 +3,7 @@
 // the thread pool, and the end goal — training reuses its buffers
 // instead of re-allocating every epoch.
 
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <thread>
@@ -16,20 +17,6 @@
 #include "models/model.h"
 #include "tensor/tensor.h"
 #include "train/trainer.h"
-
-// The pool intentionally bypasses its cache under AddressSanitizer so
-// use-after-free stays visible; reuse/hit assertions only hold in
-// normal builds.
-#if defined(__SANITIZE_ADDRESS__)
-#define LASAGNE_POOL_CACHED 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define LASAGNE_POOL_CACHED 0
-#endif
-#endif
-#ifndef LASAGNE_POOL_CACHED
-#define LASAGNE_POOL_CACHED 1
-#endif
 
 namespace lasagne {
 namespace {
@@ -63,9 +50,8 @@ TEST(BufferPoolTest, AcquireZeroReturnsNull) {
   pool.Release(nullptr, 0);  // no-op
 }
 
-#if LASAGNE_POOL_CACHED
-
 TEST(BufferPoolTest, ReleaseThenAcquireReusesBuffer) {
+  if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
   BufferPool& pool = BufferPool::Global();
   pool.Trim();
   pool.ResetStats();
@@ -81,6 +67,7 @@ TEST(BufferPoolTest, ReleaseThenAcquireReusesBuffer) {
 }
 
 TEST(BufferPoolTest, DistinctBucketsDoNotShareBuffers) {
+  if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
   BufferPool& pool = BufferPool::Global();
   pool.Trim();
   pool.ResetStats();
@@ -94,20 +81,18 @@ TEST(BufferPoolTest, DistinctBucketsDoNotShareBuffers) {
 }
 
 TEST(BufferPoolTest, CachedBytesLimitEvictsInsteadOfCaching) {
+  if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
   BufferPool& pool = BufferPool::Global();
   pool.Trim();
   pool.ResetStats();
-  // Delta-based: Trim() frees the depot and this thread's magazine
-  // eagerly, but other (idle) threads' magazines drain lazily, so the
-  // residue is whatever they still hold — constant while they sleep.
-  const uint64_t base = pool.GetStats().cached_bytes;
+  EXPECT_EQ(pool.GetStats().cached_bytes, 0u);  // Trim() is exact
   const uint64_t old_limit = pool.cached_bytes_limit();
   pool.SetCachedBytesLimit(0);
   float* p = pool.Acquire(256);
   pool.Release(p, 256);
   const BufferPool::Stats stats = pool.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.cached_bytes, base);  // the evicted release cached nothing
+  EXPECT_EQ(stats.cached_bytes, 0u);  // the evicted release cached nothing
   // Nothing cached -> next acquire is a miss again.
   float* q = pool.Acquire(256);
   EXPECT_EQ(pool.GetStats().hits, 0u);
@@ -116,6 +101,7 @@ TEST(BufferPoolTest, CachedBytesLimitEvictsInsteadOfCaching) {
 }
 
 TEST(BufferPoolTest, TensorStorageRoundTripsThroughPool) {
+  if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
   BufferPool& pool = BufferPool::Global();
   pool.Trim();
   pool.ResetStats();
@@ -127,6 +113,7 @@ TEST(BufferPoolTest, TensorStorageRoundTripsThroughPool) {
 }
 
 TEST(BufferPoolTest, ThreadStatsAreThreadLocal) {
+  if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
   // Per-thread hit/miss counters are the attribution primitive for
   // serving stats: traffic on one thread must never show up in
   // another thread's delta.
@@ -157,6 +144,7 @@ TEST(BufferPoolTest, ThreadStatsAreThreadLocal) {
 }
 
 TEST(BufferPoolTest, WorkspaceRecordsFinalizesAndServesWithoutPoolTraffic) {
+  if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
   BufferPool& pool = BufferPool::Global();
   BufferPool::Workspace ws;
   // Recording phase: the global pool serves every request while the
@@ -220,8 +208,6 @@ TEST(BufferPoolTest, WorkspaceRecordsFinalizesAndServesWithoutPoolTraffic) {
             1u);
 }
 
-#endif  // LASAGNE_POOL_CACHED
-
 TEST(BufferPoolTest, ConcurrentCheckoutYieldsDisjointBuffers) {
   BufferPool& pool = BufferPool::Global();
   pool.Trim();
@@ -248,9 +234,8 @@ TEST(BufferPoolTest, ConcurrentCheckoutYieldsDisjointBuffers) {
   SetNumThreads(0);
 }
 
-#if LASAGNE_POOL_CACHED
-
 TEST(BufferPoolTest, TrainingEpochMissesCollapseOnceWarm) {
+  if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
   // The point of the pool: after the first epoch has populated the
   // buckets, training's per-epoch allocations become freelist hits.
   // Cold run vs identically-shaped warm run must differ by >= 10x in
@@ -284,10 +269,20 @@ TEST(BufferPoolTest, TrainingEpochMissesCollapseOnceWarm) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded pool: thread-local magazines + global depot (docs/SERVING.md
-// "Pool sharding"). Suites are named BufferPool* so the TSan pass in
-// tools/run_sanitized_tests.sh picks them up.
+// Concurrency: one mutex-guarded set of freelists shared by every thread
+// (docs/SERVING.md "Buffer pool"). Suites are named BufferPool* so the
+// TSan pass in tools/run_sanitized_tests.sh picks them up. Test names
+// are stable IDs kept from the earlier sharded pool; each test's
+// comment says what it checks now.
 // ---------------------------------------------------------------------------
+
+/// Every test here asserts on cached chunks, so it needs a caching pool.
+class BufferPoolShardingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
+  }
+};
 
 /// Restores the cached-bytes limit on scope exit so a failing
 /// assertion cannot leak a tiny cap into later tests.
@@ -303,15 +298,13 @@ class CachedBytesLimitGuard {
   uint64_t old_limit_;
 };
 
-TEST(BufferPoolShardingTest, SteadyStateReuseNeverTouchesTheDepot) {
-  // The tentpole invariant: once a thread's magazine holds its working
-  // set, acquire/release cycles are served lock-free — zero depot
-  // exchanges, every hit a magazine hit.
+TEST_F(BufferPoolShardingTest, SteadyStateReuseNeverTouchesTheDepot) {
+  // Once a thread's working set is cached, acquire/release cycles are
+  // all freelist hits: zero misses.
   BufferPool& pool = BufferPool::Global();
   pool.Trim();
-  // Warm the magazine: first acquire misses, release caches locally.
-  float* warm = pool.Acquire(768);  // 1024-float bucket
-  pool.Release(warm, 768);
+  float* warm = pool.Acquire(768);  // 1024-float bucket: a miss
+  pool.Release(warm, 768);          // cached for the cycles below
   const BufferPool::Stats before = pool.GetStats();
   constexpr uint64_t kCycles = 1000;
   for (uint64_t i = 0; i < kCycles; ++i) {
@@ -321,45 +314,40 @@ TEST(BufferPoolShardingTest, SteadyStateReuseNeverTouchesTheDepot) {
     pool.Release(p, 768);
   }
   const BufferPool::Stats after = pool.GetStats();
-  EXPECT_EQ(after.magazine_hits - before.magazine_hits, kCycles);
-  EXPECT_EQ(after.depot_refills - before.depot_refills, 0u);
-  EXPECT_EQ(after.depot_flushes - before.depot_flushes, 0u);
+  EXPECT_EQ(after.hits - before.hits, kCycles);
   EXPECT_EQ(after.misses - before.misses, 0u);
 }
 
-TEST(BufferPoolShardingTest, ThreadExitDrainsMagazineIntoDepot) {
-  // A dying thread's cached chunks must not leak: they move to the
-  // depot (bytes stay cached) and the next thread refills from there.
+TEST_F(BufferPoolShardingTest, ThreadExitDrainsMagazineIntoDepot) {
+  // A chunk a thread released before exiting stays cached in the shared
+  // freelist, and this thread's next acquire of the bucket reuses it.
   BufferPool& pool = BufferPool::Global();
   pool.Trim();
-  const BufferPool::Stats base = pool.GetStats();
+  float* released = nullptr;
   std::thread worker([&] {
-    float* p = pool.Acquire(2048);
-    pool.Release(p, 2048);  // lands in the worker's magazine
+    released = pool.Acquire(2048);
+    pool.Release(released, 2048);
   });
   worker.join();
-  // The chunk survived the thread: still cached, now in the depot.
-  const BufferPool::Stats drained = pool.GetStats();
-  EXPECT_EQ(drained.cached_bytes - base.cached_bytes,
-            2048 * sizeof(float));
-  // This thread's acquire of the same bucket refills from the depot —
-  // a hit (one depot exchange), not a fresh allocation.
+  EXPECT_EQ(pool.GetStats().cached_bytes, 2048 * sizeof(float));
+  const BufferPool::ThreadStats before = BufferPool::GetThreadStats();
   float* p = pool.Acquire(2048);
-  const BufferPool::Stats refilled = pool.GetStats();
-  EXPECT_EQ(refilled.hits - drained.hits, 1u);
-  EXPECT_EQ(refilled.depot_refills - drained.depot_refills, 1u);
+  const BufferPool::ThreadStats after = BufferPool::GetThreadStats();
+  EXPECT_EQ(p, released);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.misses - before.misses, 0u);
+  EXPECT_EQ(pool.GetStats().cached_bytes, 0u);
   pool.Release(p, 2048);
 }
 
-TEST(BufferPoolShardingTest, CrossThreadReleaseKeepsChunksAndAccounting) {
+TEST_F(BufferPoolShardingTest, CrossThreadReleaseKeepsChunksAndAccounting) {
   // Acquire on thread A, free on thread B: chunks are interchangeable
-  // within a bucket, so they simply land in B's magazine (overflowing
-  // into the depot) — nothing leaks, nothing double-frees, and the
-  // byte accounting balances.
+  // within a bucket, so they simply return to the shared freelist —
+  // nothing leaks, nothing double-frees, and the byte accounting
+  // balances.
   BufferPool& pool = BufferPool::Global();
   pool.Trim();
-  const BufferPool::Stats base = pool.GetStats();
-  constexpr size_t kChunks = 32;  // 2x the magazine depth: forces flushes
+  constexpr size_t kChunks = 32;
   std::vector<float*> handoff(kChunks, nullptr);
   std::thread producer([&] {
     for (size_t i = 0; i < kChunks; ++i) {
@@ -372,27 +360,26 @@ TEST(BufferPoolShardingTest, CrossThreadReleaseKeepsChunksAndAccounting) {
     for (size_t i = 0; i < kChunks; ++i) pool.Release(handoff[i], 4096);
   });
   consumer.join();
-  // All 32 chunks are cached somewhere (consumer magazine drained to
-  // the depot at exit): exactly kChunks * bucket bytes.
+  // All 32 chunks are cached: exactly kChunks * bucket bytes.
   const BufferPool::Stats cached = pool.GetStats();
-  EXPECT_EQ(cached.cached_bytes - base.cached_bytes,
-            kChunks * 4096 * sizeof(float));
+  EXPECT_EQ(cached.cached_bytes, kChunks * 4096 * sizeof(float));
   // And re-acquirable: this thread gets all of them back as hits.
   std::vector<float*> again(kChunks, nullptr);
   for (size_t i = 0; i < kChunks; ++i) again[i] = pool.Acquire(4096);
   const BufferPool::Stats reused = pool.GetStats();
   EXPECT_EQ(reused.hits - cached.hits, kChunks);
   EXPECT_EQ(reused.misses - cached.misses, 0u);
+  EXPECT_EQ(reused.cached_bytes, 0u);
   for (size_t i = 0; i < kChunks; ++i) pool.Release(again[i], 4096);
 }
 
-TEST(BufferPoolShardingTest, ConcurrentReleasesNeverOvershootTheCap) {
-  // Regression test for the Release cap race: the old code checked
-  // `cached_bytes + bytes <= limit` *outside* the mutex, so N
-  // concurrent releases could all pass the check and collectively blow
-  // past the cap. With the atomic reservation, cached_bytes can never
-  // exceed max(pre-existing residue, limit) — sampled live by a
-  // watcher thread and asserted at every settle point.
+TEST_F(BufferPoolShardingTest, ConcurrentReleasesNeverOvershootTheCap) {
+  // Regression test for the Release cap race: code that checks
+  // `cached_bytes + bytes <= limit` apart from the step that caches
+  // the chunk lets N concurrent releases all pass the check and
+  // collectively blow past the cap. cached_bytes must never exceed the
+  // cap — sampled live by a watcher thread and asserted exactly at
+  // every settle point.
   BufferPool& pool = BufferPool::Global();
   CachedBytesLimitGuard restore_limit;
   constexpr size_t kThreads = 8;
@@ -403,13 +390,6 @@ TEST(BufferPoolShardingTest, ConcurrentReleasesNeverOvershootTheCap) {
 
   for (int round = 0; round < 10; ++round) {
     pool.Trim();
-    pool.SetCachedBytesLimit(512ull << 20);
-    // Residue: bytes still cached in idle threads' magazines (drained
-    // lazily). Constant while those threads sleep, so the invariant is
-    // cached_bytes <= max(residue, tiny cap) throughout.
-    const uint64_t residue = pool.GetStats().cached_bytes;
-    const uint64_t ceiling = std::max(residue, kTinyCap);
-
     std::vector<std::vector<float*>> held(kThreads);
     for (auto& bufs : held) {
       bufs.reserve(kPerThread);
@@ -417,7 +397,7 @@ TEST(BufferPoolShardingTest, ConcurrentReleasesNeverOvershootTheCap) {
         bufs.push_back(pool.Acquire(kFloats));
       }
     }
-    pool.Trim();  // acquired buffers are outstanding, cache is empty
+    ASSERT_EQ(pool.GetStats().cached_bytes, 0u);
     pool.SetCachedBytesLimit(kTinyCap);
     const uint64_t evictions_before = pool.GetStats().evictions;
 
@@ -425,7 +405,7 @@ TEST(BufferPoolShardingTest, ConcurrentReleasesNeverOvershootTheCap) {
     std::atomic<bool> overshoot{false};
     std::thread watcher([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        if (pool.GetStats().cached_bytes > ceiling) {
+        if (pool.GetStats().cached_bytes > kTinyCap) {
           overshoot.store(true, std::memory_order_relaxed);
         }
       }
@@ -442,14 +422,14 @@ TEST(BufferPoolShardingTest, ConcurrentReleasesNeverOvershootTheCap) {
 
     const BufferPool::Stats settled = pool.GetStats();
     EXPECT_FALSE(overshoot.load()) << "cap overshot mid-release";
-    EXPECT_LE(settled.cached_bytes, ceiling) << "cap overshot at settle";
-    // 64 releases against a 4-chunk cap: most were evicted, not cached.
-    EXPECT_GE(settled.evictions - evictions_before,
+    // 64 releases against a 4-chunk cap: exactly 4 cached, 60 evicted.
+    EXPECT_EQ(settled.cached_bytes, kTinyCap);
+    EXPECT_EQ(settled.evictions - evictions_before,
               kThreads * kPerThread - kTinyCap / kChunkBytes);
   }
 }
 
-TEST(BufferPoolShardingTest, StressAcquireReleaseTrimLimitUnderThreads) {
+TEST_F(BufferPoolShardingTest, StressAcquireReleaseTrimLimitUnderThreads) {
   // TSan-targeted interleaving stress: 8 threads hammer
   // Acquire/Release across three buckets while one thread Trims
   // periodically and another toggles the cached-bytes limit. Each
@@ -483,15 +463,12 @@ TEST(BufferPoolShardingTest, StressAcquireReleaseTrimLimitUnderThreads) {
     });
   }
   for (std::thread& t : threads) t.join();
-  pool.SetCachedBytesLimit(512ull << 20);
   pool.Trim();
-  // Every stress thread exited (magazines drained) and the depot was
-  // just trimmed: at most idle pool threads' residue remains, which is
-  // always under the restored cap.
-  EXPECT_LE(pool.GetStats().cached_bytes, pool.cached_bytes_limit());
+  // Trim() is exact for every thread: nothing stays cached anywhere.
+  EXPECT_EQ(pool.GetStats().cached_bytes, 0u);
 }
 
-TEST(BufferPoolShardingTest, OversizeAcquireBypassesFreelistsAndCap) {
+TEST_F(BufferPoolShardingTest, OversizeAcquireBypassesFreelistsAndCap) {
   // Regression test for the oversize out-of-bounds bug: a request
   // above the top bucket used to compute bucket >= kNumBuckets and
   // index free_lists_ out of bounds in NDEBUG builds. The shrunken
@@ -531,7 +508,7 @@ TEST(BufferPoolShardingTest, OversizeAcquireBypassesFreelistsAndCap) {
   pool.Trim();
 }
 
-TEST(BufferPoolShardingTest, ThreadStatsStayMonotonicAcrossResetStats) {
+TEST_F(BufferPoolShardingTest, ThreadStatsStayMonotonicAcrossResetStats) {
   // ResetStats() clears the *global* counters only; per-thread
   // counters are monotonic by contract (buffer_pool.h), so delta-based
   // consumers (serving.cc, server.cc) can difference them across a
@@ -558,8 +535,6 @@ TEST(BufferPoolShardingTest, ThreadStatsStayMonotonicAcrossResetStats) {
   const BufferPool::Stats global = pool.GetStats();
   EXPECT_LE(global.hits + global.misses, 2u);
 }
-
-#endif  // LASAGNE_POOL_CACHED
 
 }  // namespace
 }  // namespace lasagne

@@ -3,6 +3,7 @@
 // pre-reserved workspace serving warm runs without pool traffic, and the
 // eager fallback for models the compiler cannot plan.
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -21,20 +22,6 @@
 #include "models/model.h"
 #include "obs/metrics.h"
 #include "tensor/rng.h"
-
-// The pool intentionally bypasses its cache under AddressSanitizer so
-// use-after-free stays visible; the workspace (and therefore the
-// zero-miss steady state) is compiled out with it.
-#if defined(__SANITIZE_ADDRESS__)
-#define LASAGNE_POOL_CACHED 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define LASAGNE_POOL_CACHED 0
-#endif
-#endif
-#ifndef LASAGNE_POOL_CACHED
-#define LASAGNE_POOL_CACHED 1
-#endif
 
 namespace lasagne {
 namespace {
@@ -167,9 +154,8 @@ TEST(PlanParityTest, InvalidateForcesRecompile) {
 
 // -- Workspace behavior ----------------------------------------------------
 
-#if LASAGNE_POOL_CACHED
-
 TEST(PlanWorkspaceTest, WarmRunsTouchNoGlobalPool) {
+  if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
   Dataset data = LoadDataset("cora", 0.3, 31);
   std::unique_ptr<Model> model = MakeModel("gcn", data, SmallConfig());
 
@@ -191,8 +177,6 @@ TEST(PlanWorkspaceTest, WarmRunsTouchNoGlobalPool) {
   EXPECT_EQ(after.misses - before.misses, 0u);
   EXPECT_EQ(plan->overflow_acquires(), 0u);
 }
-
-#endif  // LASAGNE_POOL_CACHED
 
 TEST(PlanWorkspaceTest, PlanSurvivesInPlaceParameterUpdates) {
   Dataset data = LoadDataset("cora", 0.25, 37);
@@ -268,6 +252,10 @@ TEST(PlanFallbackTest, UntracedOpFallsBackToEager) {
   Dataset data = LoadDataset("cora", 0.2, 41);
   LossRootModel model(data);
   const Tensor reference = EagerLogits(model);
+  obs::EnableMetrics();
+  obs::Counter& fallbacks =
+      obs::MetricsRegistry::Global().GetCounter("infer.plan.fallbacks");
+  const uint64_t fallbacks_before = fallbacks.Value();
   ExpectBitwiseEqual(reference, PlanLogits(model), "loss-root fallback");
   EXPECT_EQ(model.execution_plan(), nullptr);
   EXPECT_EQ(model.plan_status().code(), StatusCode::kFailedPrecondition);
@@ -275,9 +263,11 @@ TEST(PlanFallbackTest, UntracedOpFallsBackToEager) {
             std::string::npos)
       << model.plan_status().ToString();
   // The compile attempt is remembered, not repeated: the status object
-  // is stable across further Predicts.
+  // is stable across further Predicts, and the fallback counts once.
   (void)PlanLogits(model);
+  obs::DisableMetrics();
   EXPECT_EQ(model.plan_status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fallbacks.Value() - fallbacks_before, 1u);
 }
 
 TEST(PlanFallbackTest, UntracedRootFallsBackToEager) {

@@ -24,20 +24,6 @@
 #include "models/model.h"
 #include "obs/metrics.h"
 
-// The pool intentionally bypasses its cache under AddressSanitizer so
-// use-after-free stays visible; magazine/depot assertions only hold in
-// normal builds.
-#if defined(__SANITIZE_ADDRESS__)
-#define LASAGNE_POOL_CACHED 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define LASAGNE_POOL_CACHED 0
-#endif
-#endif
-#ifndef LASAGNE_POOL_CACHED
-#define LASAGNE_POOL_CACHED 1
-#endif
-
 namespace lasagne {
 namespace {
 
@@ -786,17 +772,15 @@ TEST(ServingServerTest, QueueDepthGaugeAndServeCountersExported) {
   EXPECT_EQ(depth.Value(), 0.0);
 }
 
-// -- Pool sharding on the serving path -------------------------------------
-// docs/SERVING.md "Pool sharding": once warm, the serving hot path must
-// not exchange with the global depot. Skipped under LASAGNE_POOL_BYPASS
-// (ASan builds disable the cache entirely).
-
-#if LASAGNE_POOL_CACHED
+// -- Buffer pool on the serving path ----------------------------------------
+// docs/SERVING.md "Buffer pool": once warm, serving reuses its buffers.
+// Skipped where the pool caches nothing (ASan builds). Test names are
+// stable IDs kept from the earlier sharded pool.
 
 TEST(ServingPoolShardingTest, WarmSessionServesWithoutDepotExchanges) {
-  // Single-threaded InferenceSession: acquire and release happen on the
-  // same thread, so after one warmup request every pool touch is a
-  // magazine hit — zero depot refills, zero flushes, zero misses.
+  if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
+  // Single-threaded InferenceSession: after one warmup request every
+  // pool touch is a freelist hit — zero misses.
   Dataset data = LoadDataset("cora", 0.15, 71);
   std::unique_ptr<Model> model = MakeModel("gcn", data, SmallConfig());
   infer::InferenceSession session(*model);
@@ -809,17 +793,14 @@ TEST(ServingPoolShardingTest, WarmSessionServesWithoutDepotExchanges) {
     ASSERT_TRUE(result.ok());
   }
   const BufferPool::Stats after = pool.GetStats();
-  EXPECT_EQ(after.depot_refills - before.depot_refills, 0u);
-  EXPECT_EQ(after.depot_flushes - before.depot_flushes, 0u);
   EXPECT_EQ(after.misses - before.misses, 0u);
 }
 
 TEST(ServingPoolShardingTest, SteadyStateDepotExchangesAmortizedBelowPerRequest) {
+  if (!BufferPool::kCachesBuffers) GTEST_SKIP() << "pool cache bypassed";
   // Multi-worker server: the logits tensor is acquired on a worker
-  // thread and released on the caller's thread, so chunks migrate
-  // caller-magazine -> depot -> worker-magazine in batches. The whole
-  // point of the magazine layer is that this costs an amortized
-  // fraction of an exchange per request, not one-or-more.
+  // thread and released on the caller's thread, so every request moves
+  // a chunk between threads through the shared freelists.
   Dataset data = LoadDataset("cora", 0.15, 72);
   ServerOptions options;
   options.num_workers = 2;
@@ -847,26 +828,17 @@ TEST(ServingPoolShardingTest, SteadyStateDepotExchangesAmortizedBelowPerRequest)
     for (ServeFuture& f : futures) ASSERT_TRUE(f.Wait().status.ok());
   };
 
-  serve_round(32);  // warmup: populates worker + caller magazines
+  serve_round(32);  // warmup: populates the freelists
   BufferPool& pool = BufferPool::Global();
   const BufferPool::Stats before = pool.GetStats();
   constexpr int kSteady = 200;
   serve_round(kSteady);
   const BufferPool::Stats after = pool.GetStats();
-  const uint64_t exchanges = (after.depot_refills - before.depot_refills) +
-                             (after.depot_flushes - before.depot_flushes);
-  // Amortized well under one exchange per request (batch size 8 gives
-  // ~0.25/request in theory; allow 0.5 for scheduling jitter).
-  EXPECT_LE(exchanges, static_cast<uint64_t>(kSteady) / 2)
-      << "depot mutex is back on the steady-state serving path";
-  // A handful of misses are legitimate while chunks migrate between the
-  // caller's and the workers' magazines; anything near one-per-request
-  // means reuse is broken.
+  // A handful of misses are legitimate while the in-flight window
+  // shifts; anything near one-per-request means reuse is broken.
   EXPECT_LE(after.misses - before.misses, static_cast<uint64_t>(kSteady) / 10);
   server.Shutdown(DrainMode::kDrain);
 }
-
-#endif  // LASAGNE_POOL_CACHED
 
 }  // namespace
 }  // namespace lasagne

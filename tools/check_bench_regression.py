@@ -63,22 +63,15 @@ BENCH_serving.json baseline, enforces per worker-sweep row:
     shared hosts.
 
 Pool mode (``--pool-binary`` / ``--pool-json``): runs
-``bench_serving_load`` fresh and gates the sharded buffer pool
-(magazine layer, docs/SERVING.md "Pool sharding") on that run alone.
-Per unfaulted worker-sweep row, strictly and hardware independent:
-  * the pool columns are present (a bench without them predates the
-    sharded pool and cannot certify it),
-  * the steady phase was actually served from magazines
-    (``magazine_hits`` > 0),
-  * steady-phase depot exchanges stay amortized below
-    --pool-exchange-cap per served request (default 0.5; the design
-    point is ~2 exchanges per 8-request batch on the cross-thread
-    path, and exactly zero for same-thread reuse), and
+``bench_serving_load`` fresh and gates the buffer pool
+(docs/SERVING.md "Buffer pool") on that run alone. Per unfaulted
+worker-sweep row, strictly and hardware independent:
+  * the pool columns are present (a bench without them cannot certify
+    the pool), and
   * steady-phase pool misses stay marginal (<= max(16, 12.5% of
     steady requests)) — the warm-reuse invariant. The budget is not
     zero because the closed-loop burst workload legitimately deepens
-    its chunk inventory mid-run: buffers released on producer threads
-    park in their magazines, and a scheduling-dependent peak in
+    its chunk inventory mid-run: a scheduling-dependent peak in
     in-flight requests can exceed the cached population, growing it
     by a miss. A genuinely broken pool misses on every acquire
     (several times 100% of requests), far above the budget.
@@ -424,19 +417,17 @@ def check_serving(fresh_doc, baseline_path, tolerance, p99_factor):
     return failures
 
 
-def check_pool(fresh_doc, exchange_cap):
+def check_pool(fresh_doc):
     """Returns a list of failure strings (empty on success).
 
     Pool mode gates on the FRESH run alone: every invariant below is a
-    property of the sharded pool's steady-state behavior, measured by
-    counters the bench snapshots around its steady phase, so no
-    cross-machine tolerance is needed.
+    property of the pool's steady-state behavior, measured by counters
+    the bench snapshots around its steady phase, so no cross-machine
+    tolerance is needed.
     """
     fresh = serving_rows(fresh_doc)
     failures = []
-    pool_fields = ("steady_requests", "magazine_hits", "depot_refills",
-                   "depot_flushes", "steady_pool_misses",
-                   "depot_exchanges_per_request")
+    pool_fields = ("steady_requests", "steady_pool_misses")
     unfaulted = {c: r for c, r in fresh.items() if not r.get("faulted")}
     if not unfaulted:
         return ["no unfaulted rows in the fresh run"]
@@ -451,14 +442,6 @@ def check_pool(fresh_doc, exchange_cap):
         steady = row["steady_requests"]
         if steady <= 0:
             problems.append("no steady-phase requests served")
-        if row["magazine_hits"] <= 0:
-            problems.append("zero magazine hits (sharding inactive?)")
-        exchanges = row["depot_exchanges_per_request"]
-        if exchanges > exchange_cap:
-            problems.append(
-                f"depot exchanges {exchanges:.3f}/request "
-                f"(allowed <= {exchange_cap:.2f}; depot mutex is back on "
-                "the steady-state path)")
         # Nonzero budget: the bursty closed loop legitimately deepens
         # its chunk inventory mid-run (see the module docstring); a
         # broken pool misses on every acquire, far above this.
@@ -468,10 +451,8 @@ def check_pool(fresh_doc, exchange_cap):
                 f"{row['steady_pool_misses']:.0f} steady pool misses "
                 f"(allowed <= {miss_budget:.0f}; warm reuse broken)")
         status = "OK" if not problems else "POOL!"
-        print(f"  {status:<5} {config}: {row['magazine_hits']:.0f} magazine "
-              f"hits, {row['depot_refills']:.0f}+{row['depot_flushes']:.0f} "
-              f"depot exchanges over {steady:.0f} requests "
-              f"({exchanges:.3f}/rq), {row['steady_pool_misses']:.0f} misses")
+        print(f"  {status:<5} {config}: {row['steady_pool_misses']:.0f} "
+              f"misses over {steady:.0f} requests")
         for problem in problems:
             failures.append(f"{config}: {problem}")
     # Worker scaling only means parallelism on a multi-core host.
@@ -489,8 +470,7 @@ def check_pool(fresh_doc, exchange_cap):
             if ratio < 1.0:
                 failures.append(
                     f"4-worker QPS {ratio:.2f}x of 1-worker on a "
-                    f"{hw_cores}-core host (sharding should make workers "
-                    "scale; must be >= 1.0x)")
+                    f"{hw_cores}-core host (must be >= 1.0x)")
     else:
         print(f"  SKIP  scaling: hw_cores={hw_cores} < 4 — extra workers "
               "measure scheduling overhead here, not parallel speedup")
@@ -545,14 +525,11 @@ def main():
                     help="max allowed p99 growth vs baseline (default 5x)")
     ap.add_argument("--pool-binary",
                     help="path to the bench_serving_load executable "
-                         "(gates the sharded pool: magazine hits, "
-                         "amortized depot exchanges, warm reuse)")
+                         "(gates the buffer pool: warm reuse, worker "
+                         "scaling)")
     ap.add_argument("--pool-json",
                     help="pre-recorded bench_serving_load JSON for the "
                          "pool gate")
-    ap.add_argument("--pool-exchange-cap", type=float, default=0.5,
-                    help="max amortized depot exchanges per steady "
-                         "request (default 0.5)")
     args = ap.parse_args()
 
     pool_mode = bool(args.pool_binary) or bool(args.pool_json)
@@ -565,14 +542,13 @@ def main():
                 fresh_doc = json.load(f)
         else:
             fresh_doc = run_fresh_serving(args.pool_binary)
-        failures = check_pool(fresh_doc, args.pool_exchange_cap)
+        failures = check_pool(fresh_doc)
         if failures:
-            print("\nFAIL: pool-sharding regression", file=sys.stderr)
+            print("\nFAIL: buffer-pool regression", file=sys.stderr)
             for f in failures:
                 print(f"  {f}", file=sys.stderr)
             return 1
-        print("\nPASS: steady-state serving runs from magazines — depot "
-              f"exchanges <= {args.pool_exchange_cap:.2f}/request and "
+        print("\nPASS: steady-state serving reuses pooled buffers — "
               "warm misses marginal on every unfaulted row")
         return 0
 
