@@ -6,6 +6,9 @@
 #include "autograd/forward_trace.h"
 #include "autograd/ops.h"
 #include "common/check.h"
+#include "common/parallel_config.h"
+#include "common/thread_pool.h"
+#include "tensor/kernels.h"
 
 namespace lasagne::ag {
 
@@ -35,6 +38,89 @@ std::shared_ptr<const EdgeStructure> EdgeStructure::FromGraph(
   return edges;
 }
 
+namespace {
+
+// Each op's forward is one function below, called by both the eager op
+// and its plan replay closure. Forwards and the per-row backward sweeps
+// partition destination rows through CsrRowGrain (like
+// CsrMatrix::Multiply); every output element is written by one chunk in
+// the serial loop's order, so results are bitwise-identical to a serial
+// sweep at every thread count (docs/KERNELS.md).
+
+/// Runs `fn(i, row_begin, row_end)` for every destination row i, where
+/// [row_begin, row_end) is row i's edge range; rows are partitioned for
+/// a sweep writing `d` output columns per row.
+template <typename Fn>
+void ForEachRow(const EdgeStructure& edges, size_t d, const Fn& fn) {
+  ParallelFor(0, edges.num_nodes,
+              CsrRowGrain(edges.num_edges(), edges.num_nodes, d),
+              [&](size_t begin, size_t end) {
+                for (size_t i = begin; i < end; ++i) {
+                  fn(i, edges.row_ptr[i], edges.row_ptr[i + 1]);
+                }
+              });
+}
+
+Tensor GatherEdgeScoresForward(const Tensor& dst_scores,
+                               const Tensor& src_scores,
+                               const EdgeStructure& edges) {
+  Tensor y = Tensor::Uninitialized(edges.num_edges(), 1);
+  const float* dst = dst_scores.data();
+  const float* src = src_scores.data();
+  float* out = y.data();
+  ForEachRow(edges, 1, [&](size_t i, size_t begin, size_t end) {
+    const float d = dst[i];
+    for (size_t k = begin; k < end; ++k) out[k] = d + src[edges.src[k]];
+  });
+  return y;
+}
+
+Tensor AddEdgeBiasForward(const Tensor& edge_scores,
+                          const std::vector<float>& bias) {
+  Tensor y = edge_scores;
+  for (size_t k = 0; k < bias.size(); ++k) y(k, 0) += bias[k];
+  return y;
+}
+
+Tensor EdgeSoftmaxForward(const Tensor& edge_scores,
+                          const EdgeStructure& edges) {
+  Tensor y = Tensor::Uninitialized(edges.num_edges(), 1);
+  const float* x = edge_scores.data();
+  float* out = y.data();
+  ForEachRow(edges, 1, [&](size_t, size_t begin, size_t end) {
+    if (begin == end) return;
+    float max_v = x[begin];
+    for (size_t k = begin + 1; k < end; ++k) max_v = std::max(max_v, x[k]);
+    double total = 0.0;
+    for (size_t k = begin; k < end; ++k) {
+      out[k] = std::exp(x[k] - max_v);
+      total += out[k];
+    }
+    const float inv = static_cast<float>(1.0 / total);
+    for (size_t k = begin; k < end; ++k) out[k] *= inv;
+  });
+  return y;
+}
+
+/// out[i] = sum_k w_k * features[src(k)]: an SpMM with the edge weights
+/// as the CSR values.
+Tensor EdgeWeightedAggregateForward(const Tensor& edge_weights,
+                                    const Tensor& features,
+                                    const EdgeStructure& edges) {
+  const size_t d = features.cols();
+  Tensor y = Tensor::Uninitialized(edges.num_nodes, d);
+  ParallelFor(0, edges.num_nodes,
+              CsrRowGrain(edges.num_edges(), edges.num_nodes, d),
+              [&](size_t row_begin, size_t row_end) {
+                kernels::SpmmRows(edges.row_ptr.data(), edges.src.data(),
+                                  edge_weights.data(), features.data(), d,
+                                  y.data(), row_begin, row_end);
+              });
+  return y;
+}
+
+}  // namespace
+
 Variable GatherEdgeScores(const Variable& dst_scores,
                           const Variable& src_scores,
                           std::shared_ptr<const EdgeStructure> edges) {
@@ -42,30 +128,25 @@ Variable GatherEdgeScores(const Variable& dst_scores,
   LASAGNE_CHECK_EQ(src_scores->cols(), 1u);
   LASAGNE_CHECK_EQ(dst_scores->rows(), edges->num_nodes);
   LASAGNE_CHECK_EQ(src_scores->rows(), edges->num_nodes);
-  Tensor y(edges->num_edges(), 1);
-  for (size_t i = 0; i < edges->num_nodes; ++i) {
-    const float d = dst_scores->value()(i, 0);
-    for (size_t k = edges->row_ptr[i]; k < edges->row_ptr[i + 1]; ++k) {
-      y(k, 0) = d + src_scores->value()(edges->src[k], 0);
-    }
-  }
-  Variable out = MakeOpNode(std::move(y), {dst_scores, src_scores},
-                            "GatherEdgeScores");
+  Variable out = MakeOpNode(
+      GatherEdgeScoresForward(dst_scores->value(), src_scores->value(),
+                              *edges),
+      {dst_scores, src_scores}, "GatherEdgeScores");
   Node* pd = dst_scores.get();
   Node* ps = src_scores.get();
   out->set_backward_fn([pd, ps, edges](const Tensor& g) {
     if (pd->requires_grad()) {
-      Tensor dd(edges->num_nodes, 1);
-      for (size_t i = 0; i < edges->num_nodes; ++i) {
+      Tensor dd = Tensor::Uninitialized(edges->num_nodes, 1);
+      ForEachRow(*edges, 1, [&](size_t i, size_t begin, size_t end) {
         double acc = 0.0;
-        for (size_t k = edges->row_ptr[i]; k < edges->row_ptr[i + 1]; ++k) {
-          acc += g(k, 0);
-        }
-        dd(i, 0) = static_cast<float>(acc);
-      }
+        for (size_t k = begin; k < end; ++k) acc += g.data()[k];
+        dd.data()[i] = static_cast<float>(acc);
+      });
       pd->AccumulateGrad(dd);
     }
     if (ps->requires_grad()) {
+      // An (E x 1) scatter onto source nodes: it races under a row
+      // partition and has one column to split, so it stays serial.
       Tensor ds(edges->num_nodes, 1);
       for (size_t k = 0; k < edges->num_edges(); ++k) {
         ds(edges->src[k], 0) += g(k, 0);
@@ -77,15 +158,7 @@ Variable GatherEdgeScores(const Variable& dst_scores,
     internal::TraceRecordOp(
         out, {dst_scores, src_scores},
         [edges](const std::vector<const Tensor*>& in) {
-          Tensor y(edges->num_edges(), 1);
-          for (size_t i = 0; i < edges->num_nodes; ++i) {
-            const float d = (*in[0])(i, 0);
-            for (size_t k = edges->row_ptr[i]; k < edges->row_ptr[i + 1];
-                 ++k) {
-              y(k, 0) = d + (*in[1])(edges->src[k], 0);
-            }
-          }
-          return y;
+          return GatherEdgeScoresForward(*in[0], *in[1], *edges);
         },
         "GatherEdgeScores",
         TraceOpMeta::Edge(TraceOpKind::kGatherEdgeScores, edges));
@@ -97,18 +170,15 @@ Variable AddEdgeBias(const Variable& edge_scores,
                      std::shared_ptr<const std::vector<float>> bias) {
   LASAGNE_CHECK_EQ(edge_scores->rows(), bias->size());
   LASAGNE_CHECK_EQ(edge_scores->cols(), 1u);
-  Tensor y = edge_scores->value();
-  for (size_t k = 0; k < bias->size(); ++k) y(k, 0) += (*bias)[k];
-  Variable out = MakeOpNode(std::move(y), {edge_scores}, "AddEdgeBias");
+  Variable out = MakeOpNode(AddEdgeBiasForward(edge_scores->value(), *bias),
+                            {edge_scores}, "AddEdgeBias");
   Node* pe = edge_scores.get();
   out->set_backward_fn([pe](const Tensor& g) { pe->AccumulateGrad(g); });
   if (internal::ForwardTraceActive()) {
     internal::TraceRecordOp(
         out, {edge_scores},
         [bias](const std::vector<const Tensor*>& in) {
-          Tensor y = *in[0];
-          for (size_t k = 0; k < bias->size(); ++k) y(k, 0) += (*bias)[k];
-          return y;
+          return AddEdgeBiasForward(*in[0], *bias);
         },
         "AddEdgeBias", TraceOpMeta::EdgeBias(bias));
   }
@@ -119,62 +189,29 @@ Variable EdgeSoftmax(const Variable& edge_scores,
                      std::shared_ptr<const EdgeStructure> edges) {
   LASAGNE_CHECK_EQ(edge_scores->rows(), edges->num_edges());
   LASAGNE_CHECK_EQ(edge_scores->cols(), 1u);
-  Tensor y = edge_scores->value();
-  for (size_t i = 0; i < edges->num_nodes; ++i) {
-    const size_t begin = edges->row_ptr[i];
-    const size_t end = edges->row_ptr[i + 1];
-    if (begin == end) continue;
-    float max_v = y(begin, 0);
-    for (size_t k = begin + 1; k < end; ++k) max_v = std::max(max_v, y(k, 0));
-    double total = 0.0;
-    for (size_t k = begin; k < end; ++k) {
-      y(k, 0) = std::exp(y(k, 0) - max_v);
-      total += y(k, 0);
-    }
-    const float inv = static_cast<float>(1.0 / total);
-    for (size_t k = begin; k < end; ++k) y(k, 0) *= inv;
-  }
-  Variable out = MakeOpNode(y, {edge_scores}, "EdgeSoftmax");
+  auto probs = std::make_shared<Tensor>(
+      EdgeSoftmaxForward(edge_scores->value(), *edges));
+  Variable out = MakeOpNode(*probs, {edge_scores}, "EdgeSoftmax");
   Node* pe = edge_scores.get();
-  auto probs = std::make_shared<Tensor>(std::move(y));
   out->set_backward_fn([pe, probs, edges](const Tensor& g) {
-    Tensor dx(edges->num_edges(), 1);
-    for (size_t i = 0; i < edges->num_nodes; ++i) {
-      const size_t begin = edges->row_ptr[i];
-      const size_t end = edges->row_ptr[i + 1];
+    Tensor dx = Tensor::Uninitialized(edges->num_edges(), 1);
+    const float* p = probs->data();
+    ForEachRow(*edges, 1, [&](size_t, size_t begin, size_t end) {
       double dot = 0.0;
       for (size_t k = begin; k < end; ++k) {
-        dot += static_cast<double>(g(k, 0)) * (*probs)(k, 0);
+        dot += static_cast<double>(g.data()[k]) * p[k];
       }
       for (size_t k = begin; k < end; ++k) {
-        dx(k, 0) = (*probs)(k, 0) *
-                   (g(k, 0) - static_cast<float>(dot));
+        dx.data()[k] = p[k] * (g.data()[k] - static_cast<float>(dot));
       }
-    }
+    });
     pe->AccumulateGrad(dx);
   });
   if (internal::ForwardTraceActive()) {
     internal::TraceRecordOp(
         out, {edge_scores},
         [edges](const std::vector<const Tensor*>& in) {
-          Tensor y = *in[0];
-          for (size_t i = 0; i < edges->num_nodes; ++i) {
-            const size_t begin = edges->row_ptr[i];
-            const size_t end = edges->row_ptr[i + 1];
-            if (begin == end) continue;
-            float max_v = y(begin, 0);
-            for (size_t k = begin + 1; k < end; ++k) {
-              max_v = std::max(max_v, y(k, 0));
-            }
-            double total = 0.0;
-            for (size_t k = begin; k < end; ++k) {
-              y(k, 0) = std::exp(y(k, 0) - max_v);
-              total += y(k, 0);
-            }
-            const float inv = static_cast<float>(1.0 / total);
-            for (size_t k = begin; k < end; ++k) y(k, 0) *= inv;
-          }
-          return y;
+          return EdgeSoftmaxForward(*in[0], *edges);
         },
         "EdgeSoftmax", TraceOpMeta::Edge(TraceOpKind::kEdgeSoftmax, edges));
   }
@@ -188,43 +225,39 @@ Variable EdgeWeightedAggregate(const Variable& edge_weights,
   LASAGNE_CHECK_EQ(edge_weights->cols(), 1u);
   LASAGNE_CHECK_EQ(features->rows(), edges->num_nodes);
   const size_t d = features->cols();
-  Tensor y(edges->num_nodes, d);
-  for (size_t i = 0; i < edges->num_nodes; ++i) {
-    float* out_row = y.RowPtr(i);
-    for (size_t k = edges->row_ptr[i]; k < edges->row_ptr[i + 1]; ++k) {
-      const float w = edge_weights->value()(k, 0);
-      const float* f_row = features->value().RowPtr(edges->src[k]);
-      for (size_t j = 0; j < d; ++j) out_row[j] += w * f_row[j];
-    }
-  }
-  Variable out = MakeOpNode(std::move(y), {edge_weights, features},
-                            "EdgeWeightedAggregate");
+  Variable out = MakeOpNode(
+      EdgeWeightedAggregateForward(edge_weights->value(), features->value(),
+                                   *edges),
+      {edge_weights, features}, "EdgeWeightedAggregate");
   Node* pw = edge_weights.get();
   Node* pf = features.get();
   out->set_backward_fn([pw, pf, edges, d](const Tensor& g) {
     if (pw->requires_grad()) {
-      Tensor dw(edges->num_edges(), 1);
-      for (size_t i = 0; i < edges->num_nodes; ++i) {
+      // dw_k = <g[dst(k)], features[src(k)]>, row-parallel over dst.
+      Tensor dw = Tensor::Uninitialized(edges->num_edges(), 1);
+      const float* f = pf->value().data();
+      ForEachRow(*edges, d, [&](size_t i, size_t begin, size_t end) {
         const float* g_row = g.RowPtr(i);
-        for (size_t k = edges->row_ptr[i]; k < edges->row_ptr[i + 1]; ++k) {
-          const float* f_row = pf->value().RowPtr(edges->src[k]);
+        for (size_t k = begin; k < end; ++k) {
+          const float* f_row = f + edges->src[k] * d;
           double acc = 0.0;
           for (size_t j = 0; j < d; ++j) acc += g_row[j] * f_row[j];
-          dw(k, 0) = static_cast<float>(acc);
+          dw.data()[k] = static_cast<float>(acc);
         }
-      }
+      });
       pw->AccumulateGrad(dw);
     }
     if (pf->requires_grad()) {
+      // df[src(k)] += w_k * g[dst(k)]: the transposed SpMM scatter,
+      // column-partitioned like CsrMatrix::TransposedMultiply.
       Tensor df(edges->num_nodes, d);
-      for (size_t i = 0; i < edges->num_nodes; ++i) {
-        const float* g_row = g.RowPtr(i);
-        for (size_t k = edges->row_ptr[i]; k < edges->row_ptr[i + 1]; ++k) {
-          const float w = pw->value()(k, 0);
-          float* df_row = df.RowPtr(edges->src[k]);
-          for (size_t j = 0; j < d; ++j) df_row[j] += w * g_row[j];
-        }
-      }
+      ParallelFor(0, d, CsrColGrain(edges->num_edges()),
+                  [&](size_t col_begin, size_t col_end) {
+                    kernels::SpmmTransposedCols(
+                        edges->row_ptr.data(), edges->src.data(),
+                        pw->value().data(), edges->num_nodes, g.data(), d,
+                        df.data(), col_begin, col_end);
+                  });
       pf->AccumulateGrad(df);
     }
   });
@@ -232,18 +265,7 @@ Variable EdgeWeightedAggregate(const Variable& edge_weights,
     internal::TraceRecordOp(
         out, {edge_weights, features},
         [edges](const std::vector<const Tensor*>& in) {
-          const size_t d = in[1]->cols();
-          Tensor y(edges->num_nodes, d);
-          for (size_t i = 0; i < edges->num_nodes; ++i) {
-            float* out_row = y.RowPtr(i);
-            for (size_t k = edges->row_ptr[i]; k < edges->row_ptr[i + 1];
-                 ++k) {
-              const float w = (*in[0])(k, 0);
-              const float* f_row = in[1]->RowPtr(edges->src[k]);
-              for (size_t j = 0; j < d; ++j) out_row[j] += w * f_row[j];
-            }
-          }
-          return y;
+          return EdgeWeightedAggregateForward(*in[0], *in[1], *edges);
         },
         "EdgeWeightedAggregate",
         TraceOpMeta::Edge(TraceOpKind::kEdgeWeightedAggregate, edges));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "autograd/forward_trace.h"
 #include "autograd/inference.h"
@@ -834,19 +835,52 @@ Variable SquaredSum(const Variable& x) {
 // Stochastic / regularization ops
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The one per-element draw rule of the stochastic ops. Takes n draws
+/// of `rng` and calls `emit(i, outcome)` for each element i in [0, n),
+/// where the outcome is `(raw_i >> 11) < threshold(i)` with
+/// threshold(i) = Rng::BernoulliThreshold(p_i): bitwise what the i-th
+/// of n serial `rng.Bernoulli(p_i)` calls returns. Draw i is
+/// Rng::Mix(base + (i + 1) * kGamma), a function of i alone, so the
+/// chunks run on the pool and `rng` ends where n serial draws would
+/// leave it at any thread count (docs/THREADING.md).
+template <typename Threshold, typename Emit>
+void ParallelBernoulli(Rng& rng, size_t n, const Threshold& threshold,
+                       const Emit& emit) {
+  const uint64_t base = rng.SkipAhead(n);
+  ParallelFor(0, n, kGrain, [&](size_t begin, size_t end) {
+    uint64_t state = base + begin * Rng::kGamma;
+    for (size_t i = begin; i < end; ++i) {
+      state += Rng::kGamma;
+      emit(i, (Rng::Mix(state) >> 11) < threshold(i));
+    }
+  });
+}
+
+}  // namespace
+
 Variable Dropout(const Variable& x, float rate, Rng& rng, bool training) {
   LASAGNE_CHECK_GE(rate, 0.0f);
   LASAGNE_CHECK_LT(rate, 1.0f);
   if (!training || rate == 0.0f) return x;
   const float keep = 1.0f - rate;
   const float scale = 1.0f / keep;
-  auto mask = std::make_shared<Tensor>(x->rows(), x->cols());
-  Tensor y = x->value();
-  for (size_t i = 0; i < y.size(); ++i) {
-    const float m = rng.Bernoulli(keep) ? scale : 0.0f;
-    mask->data()[i] = m;
-    y.data()[i] *= m;
-  }
+  auto mask = std::make_shared<Tensor>(
+      Tensor::Uninitialized(x->rows(), x->cols()));
+  Tensor y = Tensor::Uninitialized(x->rows(), x->cols());
+  const float* src = x->value().data();
+  float* m = mask->data();
+  float* dst = y.data();
+  const uint64_t threshold = Rng::BernoulliThreshold(keep);
+  // float(kept) * scale is bitwise `kept ? scale : 0` without a branch
+  // on a random bit.
+  ParallelBernoulli(
+      rng, y.size(), [threshold](size_t) { return threshold; },
+      [&](size_t i, bool kept) {
+        m[i] = static_cast<float>(kept) * scale;
+        dst[i] = src[i] * m[i];
+      });
   Variable out = MakeOpNode(std::move(y), {x}, "Dropout");
   Node* px = x.get();
   out->set_backward_fn([px, mask](const Tensor& g) {
@@ -857,12 +891,17 @@ Variable Dropout(const Variable& x, float rate, Rng& rng, bool training) {
 
 Variable BernoulliStraightThrough(const Variable& probs, Rng& rng,
                                   bool training) {
-  Tensor y = probs->value();
+  Tensor y = training ? Tensor::Uninitialized(probs->rows(), probs->cols())
+                      : probs->value();
   if (training) {
-    for (size_t i = 0; i < y.size(); ++i) {
-      const float p = std::clamp(y.data()[i], 0.0f, 1.0f);
-      y.data()[i] = rng.Bernoulli(p) ? 1.0f : 0.0f;
-    }
+    const float* p = probs->value().data();
+    float* dst = y.data();
+    ParallelBernoulli(
+        rng, y.size(),
+        [p](size_t i) {
+          return Rng::BernoulliThreshold(std::clamp(p[i], 0.0f, 1.0f));
+        },
+        [dst](size_t i, bool kept) { dst[i] = static_cast<float>(kept); });
   }
   Variable out =
       MakeOpNode(std::move(y), {probs}, "BernoulliStraightThrough");

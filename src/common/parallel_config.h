@@ -32,6 +32,15 @@ inline size_t CsrRowGrain(size_t nnz, size_t rows, size_t d) {
                   std::max<size_t>(d, 1));
 }
 
+/// Column grain for a transposed CSR sweep (the out[col_idx[k]] +=
+/// scatter of CsrMatrix::TransposedMultiply and the edge-aggregate
+/// feature gradient): the scatter races under a row partition, so
+/// chunks own output-column strips instead, and each strip column
+/// costs one pass over all `nnz` entries.
+inline size_t CsrColGrain(size_t nnz) {
+  return std::max<size_t>(1, kGrain / std::max<size_t>(nnz, 1));
+}
+
 namespace kernels {
 
 /// Width (in floats) of one GEMM/SpMM register tile along the output

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace lasagne::obs {
 
@@ -116,6 +117,15 @@ MetricsRegistry& MetricsRegistry::Global() {
   return registry;
 }
 
+MetricsRegistry::MetricsRegistry()
+    : trace_dropped_spans_(&GetGauge("obs.trace.dropped_spans")) {}
+
+void MetricsRegistry::RefreshScrapeGauges() const {
+  // Called before taking mutex_: TraceDroppedEvents() locks the trace
+  // registry, and the two locks are never held together.
+  trace_dropped_spans_->Set(static_cast<double>(TraceDroppedEvents()));
+}
+
 Counter& MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::unique_ptr<Counter>& slot = counters_[name];
@@ -138,6 +148,7 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
 }
 
 std::string MetricsRegistry::ScrapeText() const {
+  RefreshScrapeGauges();
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;
   for (const auto& [name, counter] : counters_) {
@@ -157,6 +168,7 @@ std::string MetricsRegistry::ScrapeText() const {
 }
 
 std::string MetricsRegistry::ScrapeJson() const {
+  RefreshScrapeGauges();
   std::lock_guard<std::mutex> lock(mutex_);
   JsonValue root = JsonValue::Object();
   JsonValue counters = JsonValue::Object();

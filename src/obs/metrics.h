@@ -132,6 +132,8 @@ class MetricsRegistry {
   ///   counter spmm.calls 1234
   ///   gauge threadpool.threads 8
   ///   histogram train.epoch_ms count=10 sum=123.4 p50=... p99=...
+  /// Every scrape first refreshes the `obs.trace.dropped_spans` gauge
+  /// from TraceDroppedEvents(), so a truncated trace is visible.
   std::string ScrapeText() const;
 
   /// JSON scrape: {"counters":{...},"gauges":{...},"histograms":{...}}.
@@ -144,12 +146,16 @@ class MetricsRegistry {
   void Reset();
 
  private:
-  MetricsRegistry() = default;
+  MetricsRegistry();
+
+  /// Sets the gauges read from other subsystems at scrape time.
+  void RefreshScrapeGauges() const;
 
   mutable std::mutex mutex_;  // guards the maps, never the fast path
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  Gauge* trace_dropped_spans_ = nullptr;  // owned by gauges_
 };
 
 }  // namespace lasagne::obs

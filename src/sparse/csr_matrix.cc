@@ -134,9 +134,8 @@ Tensor CsrMatrix::TransposedMultiply(const Tensor& dense) const {
   // writes are disjoint, and each output element accumulates in the
   // serial ascending-r order — bitwise-identical at every thread count
   // with no per-thread buffers or merge step.
-  const size_t col_grain =
-      std::max<size_t>(1, kGrain / std::max<size_t>(nnz(), 1));
-  ParallelFor(0, d, col_grain, [&](size_t col_begin, size_t col_end) {
+  ParallelFor(0, d, CsrColGrain(nnz()), [&](size_t col_begin,
+                                            size_t col_end) {
     kernels::SpmmTransposedCols(row_ptr_.data(), col_idx_.data(),
                                 values_.data(), rows_, dense.data(), d,
                                 out.data(), col_begin, col_end);

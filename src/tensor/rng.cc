@@ -8,17 +8,11 @@
 namespace lasagne {
 
 uint64_t Rng::NextUint64() {
-  state_ += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  state_ += kGamma;
+  return Mix(state_);
 }
 
-double Rng::Uniform() {
-  // 53 random bits into the mantissa: uniform on [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * (1.0 / 9007199254740992.0);
-}
+double Rng::Uniform() { return ToUnit(NextUint64()); }
 
 double Rng::Uniform(double lo, double hi) {
   LASAGNE_CHECK_LE(lo, hi);

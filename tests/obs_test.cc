@@ -279,6 +279,34 @@ TEST(ObsTraceTest, RingBufferKeepsNewestEvents) {
   EXPECT_GE(TraceDroppedEvents() - dropped_before, 92u);
 }
 
+TEST(ObsTraceTest, DroppedSpansAppearInTheMetricsScrape) {
+  TracingOn on(/*capacity=*/4);
+  ASSERT_EQ(TraceDroppedEvents(), 0u);
+  // A fresh thread's ring is born with 4 slots; 10 spans drop 6.
+  std::thread recorder([] {
+    for (int i = 0; i < 10; ++i) {
+      LASAGNE_TRACE_SCOPE("span");
+    }
+  });
+  recorder.join();
+  ASSERT_EQ(TraceDroppedEvents(), 6u);
+  const std::string text = MetricsRegistry::Global().ScrapeText();
+  EXPECT_NE(text.find("gauge obs.trace.dropped_spans 6\n"), std::string::npos)
+      << text;
+  StatusOr<JsonValue> parsed =
+      JsonValue::Parse(MetricsRegistry::Global().ScrapeJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* gauge =
+      parsed.value().Find("gauges")->Find("obs.trace.dropped_spans");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_DOUBLE_EQ(gauge->AsDouble(), 6.0);
+  // ClearTrace forgets the overflow; the next scrape reads 0 again.
+  ClearTrace();
+  EXPECT_NE(MetricsRegistry::Global().ScrapeText().find(
+                "gauge obs.trace.dropped_spans 0\n"),
+            std::string::npos);
+}
+
 TEST(ObsTraceTest, JsonExportRoundTrips) {
   TracingOn on;
   {

@@ -2,7 +2,8 @@
 # Reruns the concurrency-sensitive test suites many times under an
 # oversubscribed ctest, to shake out flakes that a quiet single run of
 # the tier-1 suite does not show (lost races in the buffer-pool cap,
-# serving shutdown, plan/fusion parity under thread churn):
+# serving shutdown, plan/fusion parity under thread churn, the parallel
+# Dropout stream and the row-parallel edge ops):
 #
 #   tools/run_stress_tests.sh [N] [extra ctest args...]
 #
@@ -22,4 +23,4 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   --repeat "until-fail:$REPEATS" -j "$((2 * $(nproc)))" \
-  -R 'BufferPool|Serving|Plan|PlanFusion|EdgeAttention' "$@"
+  -R 'BufferPool|Serving|Plan|PlanFusion|EdgeAttention|DropoutStream|EdgeOpParity' "$@"
