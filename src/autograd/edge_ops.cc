@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "autograd/forward_trace.h"
 #include "autograd/ops.h"
 #include "common/check.h"
 #include "common/parallel_config.h"
@@ -40,12 +39,13 @@ std::shared_ptr<const EdgeStructure> EdgeStructure::FromGraph(
 
 namespace {
 
-// Each op's forward is one function below, called by both the eager op
-// and its plan replay closure. Forwards and the per-row backward sweeps
-// partition destination rows through CsrRowGrain (like
-// CsrMatrix::Multiply); every output element is written by one chunk in
-// the serial loop's order, so results are bitwise-identical to a serial
-// sweep at every thread count (docs/KERNELS.md).
+// Each op's forward is one function below, which MakeTracedOp runs for
+// the eager value and records as the plan replay. Forwards and the
+// per-row backward sweeps partition destination rows through
+// CsrRowGrain (like CsrMatrix::Multiply); every output element is
+// written by one chunk in the serial loop's order, so results are
+// bitwise-identical to a serial sweep at every thread count
+// (docs/KERNELS.md).
 
 /// Runs `fn(i, row_begin, row_end)` for every destination row i, where
 /// [row_begin, row_end) is row i's edge range; rows are partitioned for
@@ -61,12 +61,12 @@ void ForEachRow(const EdgeStructure& edges, size_t d, const Fn& fn) {
               });
 }
 
-Tensor GatherEdgeScoresForward(const Tensor& dst_scores,
-                               const Tensor& src_scores,
+/// Inputs {dst_scores, src_scores}.
+Tensor GatherEdgeScoresForward(const TraceInputs& in,
                                const EdgeStructure& edges) {
   Tensor y = Tensor::Uninitialized(edges.num_edges(), 1);
-  const float* dst = dst_scores.data();
-  const float* src = src_scores.data();
+  const float* dst = in[0]->data();
+  const float* src = in[1]->data();
   float* out = y.data();
   ForEachRow(edges, 1, [&](size_t i, size_t begin, size_t end) {
     const float d = dst[i];
@@ -75,17 +75,16 @@ Tensor GatherEdgeScoresForward(const Tensor& dst_scores,
   return y;
 }
 
-Tensor AddEdgeBiasForward(const Tensor& edge_scores,
+Tensor AddEdgeBiasForward(const TraceInputs& in,
                           const std::vector<float>& bias) {
-  Tensor y = edge_scores;
+  Tensor y = *in[0];
   for (size_t k = 0; k < bias.size(); ++k) y(k, 0) += bias[k];
   return y;
 }
 
-Tensor EdgeSoftmaxForward(const Tensor& edge_scores,
-                          const EdgeStructure& edges) {
+Tensor EdgeSoftmaxForward(const TraceInputs& in, const EdgeStructure& edges) {
   Tensor y = Tensor::Uninitialized(edges.num_edges(), 1);
-  const float* x = edge_scores.data();
+  const float* x = in[0]->data();
   float* out = y.data();
   ForEachRow(edges, 1, [&](size_t, size_t begin, size_t end) {
     if (begin == end) return;
@@ -102,18 +101,17 @@ Tensor EdgeSoftmaxForward(const Tensor& edge_scores,
   return y;
 }
 
-/// out[i] = sum_k w_k * features[src(k)]: an SpMM with the edge weights
-/// as the CSR values.
-Tensor EdgeWeightedAggregateForward(const Tensor& edge_weights,
-                                    const Tensor& features,
+/// Inputs {edge_weights, features}. out[i] = sum_k w_k *
+/// features[src(k)]: an SpMM with the edge weights as the CSR values.
+Tensor EdgeWeightedAggregateForward(const TraceInputs& in,
                                     const EdgeStructure& edges) {
-  const size_t d = features.cols();
+  const size_t d = in[1]->cols();
   Tensor y = Tensor::Uninitialized(edges.num_nodes, d);
   ParallelFor(0, edges.num_nodes,
               CsrRowGrain(edges.num_edges(), edges.num_nodes, d),
               [&](size_t row_begin, size_t row_end) {
                 kernels::SpmmRows(edges.row_ptr.data(), edges.src.data(),
-                                  edge_weights.data(), features.data(), d,
+                                  in[0]->data(), in[1]->data(), d,
                                   y.data(), row_begin, row_end);
               });
   return y;
@@ -128,10 +126,12 @@ Variable GatherEdgeScores(const Variable& dst_scores,
   LASAGNE_CHECK_EQ(src_scores->cols(), 1u);
   LASAGNE_CHECK_EQ(dst_scores->rows(), edges->num_nodes);
   LASAGNE_CHECK_EQ(src_scores->rows(), edges->num_nodes);
-  Variable out = MakeOpNode(
-      GatherEdgeScoresForward(dst_scores->value(), src_scores->value(),
-                              *edges),
-      {dst_scores, src_scores}, "GatherEdgeScores");
+  Variable out = MakeTracedOp(
+      [edges](const TraceInputs& in) {
+        return GatherEdgeScoresForward(in, *edges);
+      },
+      {dst_scores, src_scores}, "GatherEdgeScores",
+      TraceOpMeta::Edge(TraceOpKind::kGatherEdgeScores, edges));
   Node* pd = dst_scores.get();
   Node* ps = src_scores.get();
   out->set_backward_fn([pd, ps, edges](const Tensor& g) {
@@ -154,15 +154,6 @@ Variable GatherEdgeScores(const Variable& dst_scores,
       ps->AccumulateGrad(ds);
     }
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {dst_scores, src_scores},
-        [edges](const std::vector<const Tensor*>& in) {
-          return GatherEdgeScoresForward(*in[0], *in[1], *edges);
-        },
-        "GatherEdgeScores",
-        TraceOpMeta::Edge(TraceOpKind::kGatherEdgeScores, edges));
-  }
   return out;
 }
 
@@ -170,18 +161,11 @@ Variable AddEdgeBias(const Variable& edge_scores,
                      std::shared_ptr<const std::vector<float>> bias) {
   LASAGNE_CHECK_EQ(edge_scores->rows(), bias->size());
   LASAGNE_CHECK_EQ(edge_scores->cols(), 1u);
-  Variable out = MakeOpNode(AddEdgeBiasForward(edge_scores->value(), *bias),
-                            {edge_scores}, "AddEdgeBias");
+  Variable out = MakeTracedOp(
+      [bias](const TraceInputs& in) { return AddEdgeBiasForward(in, *bias); },
+      {edge_scores}, "AddEdgeBias", TraceOpMeta::EdgeBias(bias));
   Node* pe = edge_scores.get();
   out->set_backward_fn([pe](const Tensor& g) { pe->AccumulateGrad(g); });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {edge_scores},
-        [bias](const std::vector<const Tensor*>& in) {
-          return AddEdgeBiasForward(*in[0], *bias);
-        },
-        "AddEdgeBias", TraceOpMeta::EdgeBias(bias));
-  }
   return out;
 }
 
@@ -189,13 +173,15 @@ Variable EdgeSoftmax(const Variable& edge_scores,
                      std::shared_ptr<const EdgeStructure> edges) {
   LASAGNE_CHECK_EQ(edge_scores->rows(), edges->num_edges());
   LASAGNE_CHECK_EQ(edge_scores->cols(), 1u);
-  auto probs = std::make_shared<Tensor>(
-      EdgeSoftmaxForward(edge_scores->value(), *edges));
-  Variable out = MakeOpNode(*probs, {edge_scores}, "EdgeSoftmax");
+  Variable out = MakeTracedOp(
+      [edges](const TraceInputs& in) { return EdgeSoftmaxForward(in, *edges); },
+      {edge_scores}, "EdgeSoftmax",
+      TraceOpMeta::Edge(TraceOpKind::kEdgeSoftmax, edges));
   Node* pe = edge_scores.get();
-  out->set_backward_fn([pe, probs, edges](const Tensor& g) {
+  Node* pout = out.get();
+  out->set_backward_fn([pe, pout, edges](const Tensor& g) {
     Tensor dx = Tensor::Uninitialized(edges->num_edges(), 1);
-    const float* p = probs->data();
+    const float* p = pout->value().data();
     ForEachRow(*edges, 1, [&](size_t, size_t begin, size_t end) {
       double dot = 0.0;
       for (size_t k = begin; k < end; ++k) {
@@ -207,14 +193,6 @@ Variable EdgeSoftmax(const Variable& edge_scores,
     });
     pe->AccumulateGrad(dx);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {edge_scores},
-        [edges](const std::vector<const Tensor*>& in) {
-          return EdgeSoftmaxForward(*in[0], *edges);
-        },
-        "EdgeSoftmax", TraceOpMeta::Edge(TraceOpKind::kEdgeSoftmax, edges));
-  }
   return out;
 }
 
@@ -225,10 +203,12 @@ Variable EdgeWeightedAggregate(const Variable& edge_weights,
   LASAGNE_CHECK_EQ(edge_weights->cols(), 1u);
   LASAGNE_CHECK_EQ(features->rows(), edges->num_nodes);
   const size_t d = features->cols();
-  Variable out = MakeOpNode(
-      EdgeWeightedAggregateForward(edge_weights->value(), features->value(),
-                                   *edges),
-      {edge_weights, features}, "EdgeWeightedAggregate");
+  Variable out = MakeTracedOp(
+      [edges](const TraceInputs& in) {
+        return EdgeWeightedAggregateForward(in, *edges);
+      },
+      {edge_weights, features}, "EdgeWeightedAggregate",
+      TraceOpMeta::Edge(TraceOpKind::kEdgeWeightedAggregate, edges));
   Node* pw = edge_weights.get();
   Node* pf = features.get();
   out->set_backward_fn([pw, pf, edges, d](const Tensor& g) {
@@ -261,15 +241,6 @@ Variable EdgeWeightedAggregate(const Variable& edge_weights,
       pf->AccumulateGrad(df);
     }
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {edge_weights, features},
-        [edges](const std::vector<const Tensor*>& in) {
-          return EdgeWeightedAggregateForward(*in[0], *in[1], *edges);
-        },
-        "EdgeWeightedAggregate",
-        TraceOpMeta::Edge(TraceOpKind::kEdgeWeightedAggregate, edges));
-  }
   return out;
 }
 

@@ -4,42 +4,45 @@
 #include <cmath>
 #include <vector>
 
-#include "autograd/forward_trace.h"
 #include "autograd/ops.h"
 #include "common/check.h"
 #include "obs/trace.h"
 
 namespace lasagne::ag {
 
-Variable FmInteraction(const Variable& x, const Variable& w,
-                       const Variable& v,
-                       std::vector<size_t> field_offsets, size_t k) {
-  LASAGNE_TRACE_SCOPE("fm.forward");
-  const size_t n = x->rows();
-  const size_t m = x->cols();
-  const size_t f = w->cols();
-  LASAGNE_CHECK_GE(field_offsets.size(), 2u);
-  const size_t p_fields = field_offsets.size() - 1;
-  LASAGNE_CHECK_EQ(field_offsets.front(), 0u);
-  LASAGNE_CHECK_EQ(field_offsets.back(), m);
-  LASAGNE_CHECK_EQ(w->rows(), m);
-  LASAGNE_CHECK_EQ(v->rows(), m);
-  LASAGNE_CHECK_EQ(v->cols(), f * k);
+namespace {
 
-  // t[((i * f) + j) * p_fields * k + p * k + t] cached for backward.
-  auto t_cache =
-      std::make_shared<std::vector<float>>(n * f * p_fields * k, 0.0f);
-  const Tensor& xv = x->value();
-  const Tensor& vv = v->value();
-
-  Tensor out_val = xv.MatMul(w->value());  // linear term
+/// O = x w plus the cross-field term of fm_op.h, from the inputs
+/// {x, w, v}. With `t_cache` non-null, every t_ijp (index
+/// ((i * f) + j) * p_fields * k + p * k + t) is kept there for the
+/// backward; without it each (i, j) reuses one p_fields * k scratch,
+/// through the same accumulation chain.
+Tensor FmForward(const TraceInputs& in, const std::vector<size_t>& offsets,
+                 size_t k, std::vector<float>* t_cache) {
+  const Tensor& xv = *in[0];
+  const Tensor& vv = *in[2];
+  const size_t n = xv.rows();
+  const size_t f = in[1]->cols();
+  const size_t p_fields = offsets.size() - 1;
+  Tensor y = xv.MatMul(*in[1]);  // linear term
+  std::vector<float> scratch;
+  if (t_cache != nullptr) {
+    t_cache->assign(n * f * p_fields * k, 0.0f);
+  } else {
+    scratch.resize(p_fields * k);
+  }
   for (size_t i = 0; i < n; ++i) {
     const float* x_row = xv.RowPtr(i);
     for (size_t j = 0; j < f; ++j) {
-      float* t_ij = t_cache->data() + ((i * f) + j) * p_fields * k;
+      float* t_ij = scratch.data();
+      if (t_cache != nullptr) {
+        t_ij = t_cache->data() + ((i * f) + j) * p_fields * k;
+      } else {
+        std::fill(scratch.begin(), scratch.end(), 0.0f);
+      }
       for (size_t p = 0; p < p_fields; ++p) {
         float* t_p = t_ij + p * k;
-        for (size_t mm = field_offsets[p]; mm < field_offsets[p + 1]; ++mm) {
+        for (size_t mm = offsets[p]; mm < offsets[p + 1]; ++mm) {
           const float xim = x_row[mm];
           if (xim == 0.0f) continue;
           const float* v_row = vv.RowPtr(mm) + j * k;
@@ -58,16 +61,40 @@ Variable FmInteraction(const Variable& x, const Variable& w,
         }
         cross += 0.5 * (s * s - sq);
       }
-      out_val(i, j) += static_cast<float>(cross);
+      y(i, j) += static_cast<float>(cross);
     }
   }
+  return y;
+}
 
-  Variable out = MakeOpNode(std::move(out_val), {x, w, v}, "FmInteraction");
+}  // namespace
+
+Variable FmInteraction(const Variable& x, const Variable& w,
+                       const Variable& v,
+                       std::vector<size_t> field_offsets, size_t k) {
+  LASAGNE_TRACE_SCOPE("fm.forward");
+  const size_t n = x->rows();
+  const size_t m = x->cols();
+  const size_t f = w->cols();
+  LASAGNE_CHECK_GE(field_offsets.size(), 2u);
+  const size_t p_fields = field_offsets.size() - 1;
+  LASAGNE_CHECK_EQ(field_offsets.front(), 0u);
+  LASAGNE_CHECK_EQ(field_offsets.back(), m);
+  LASAGNE_CHECK_EQ(w->rows(), m);
+  LASAGNE_CHECK_EQ(v->rows(), m);
+  LASAGNE_CHECK_EQ(v->cols(), f * k);
+
+  auto offsets =
+      std::make_shared<std::vector<size_t>>(std::move(field_offsets));
+  auto t_cache = std::make_shared<std::vector<float>>();
+  Variable out = MakeTracedOp(
+      [offsets, k](const TraceInputs& in, std::vector<float>* cache) {
+        return FmForward(in, *offsets, k, cache);
+      },
+      t_cache.get(), {x, w, v}, "FmInteraction");
   Node* px = x.get();
   Node* pw = w.get();
   Node* pv = v.get();
-  auto offsets =
-      std::make_shared<std::vector<size_t>>(std::move(field_offsets));
   out->set_backward_fn([px, pw, pv, t_cache, offsets, n, m, f, k,
                         p_fields](const Tensor& g) {
     LASAGNE_TRACE_SCOPE("fm.backward");
@@ -76,14 +103,11 @@ Variable FmInteraction(const Variable& x, const Variable& w,
     if (pw->requires_grad()) {
       pw->AccumulateGrad(xv.TransposedMatMul(g));
     }
-    Tensor dx(n, m);
-    Tensor dv(m, f * k);
     const bool need_dx = px->requires_grad();
     const bool need_dv = pv->requires_grad();
-    if (need_dx) {
-      // Linear part: dx += g @ w^T.
-      dx = g.MatMulTransposed(pw->value());
-    }
+    // The linear part of dx is g @ w^T.
+    Tensor dx = need_dx ? g.MatMulTransposed(pw->value()) : Tensor();
+    Tensor dv = need_dv ? Tensor(m, f * k) : Tensor();
     // Field -> offset lookup for coordinate m.
     std::vector<size_t> field_of(m);
     for (size_t p = 0; p < p_fields; ++p) {
@@ -128,51 +152,6 @@ Variable FmInteraction(const Variable& x, const Variable& w,
     if (need_dx) px->AccumulateGrad(dx);
     if (need_dv) pv->AccumulateGrad(dv);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x, w, v},
-        [offsets, k](const std::vector<const Tensor*>& in) {
-          const Tensor& xv = *in[0];
-          const Tensor& vv = *in[2];
-          const size_t n = xv.rows();
-          const size_t f = in[1]->cols();
-          const size_t p_fields = offsets->size() - 1;
-          Tensor y = xv.MatMul(*in[1]);
-          // Per-(i, j) scratch replaces the backward t_cache; each
-          // accumulation chain is identical to the eager forward's.
-          std::vector<float> t(p_fields * k);
-          for (size_t i = 0; i < n; ++i) {
-            const float* x_row = xv.RowPtr(i);
-            for (size_t j = 0; j < f; ++j) {
-              std::fill(t.begin(), t.end(), 0.0f);
-              for (size_t p = 0; p < p_fields; ++p) {
-                float* t_p = t.data() + p * k;
-                for (size_t mm = (*offsets)[p]; mm < (*offsets)[p + 1];
-                     ++mm) {
-                  const float xim = x_row[mm];
-                  if (xim == 0.0f) continue;
-                  const float* v_row = vv.RowPtr(mm) + j * k;
-                  for (size_t tt = 0; tt < k; ++tt) t_p[tt] += xim * v_row[tt];
-                }
-              }
-              double cross = 0.0;
-              for (size_t tt = 0; tt < k; ++tt) {
-                double s = 0.0;
-                double sq = 0.0;
-                for (size_t p = 0; p < p_fields; ++p) {
-                  const double val = t[p * k + tt];
-                  s += val;
-                  sq += val * val;
-                }
-                cross += 0.5 * (s * s - sq);
-              }
-              y(i, j) += static_cast<float>(cross);
-            }
-          }
-          return y;
-        },
-        "FmInteraction");
-  }
   return out;
 }
 

@@ -12,7 +12,7 @@ thread_local ForwardTrace* t_active_trace = nullptr;
 }  // namespace
 
 ForwardTrace::ForwardTrace() : previous_(t_active_trace) {
-  // Tracing captures evaluation-mode replay closures; a tape-building
+  // Tracing captures evaluation-mode forwards; a tape-building
   // forward already has its own graph and several ops (Dropout) change
   // structure between modes.
   LASAGNE_CHECK_MSG(InferenceModeEnabled(),
@@ -22,50 +22,29 @@ ForwardTrace::ForwardTrace() : previous_(t_active_trace) {
 
 ForwardTrace::~ForwardTrace() { t_active_trace = previous_; }
 
-void ForwardTrace::FlushPending() {
-  if (pending_node_ == nullptr) return;
-  if (untraced_ == 0) first_untraced_ = pending_name_;
-  ++untraced_;
-  pending_node_ = nullptr;
-  pending_name_ = "";
-}
+bool ForwardTrace::complete() const { return untraced_ == 0; }
 
-bool ForwardTrace::complete() const {
-  return untraced_ == 0 && pending_node_ == nullptr;
-}
-
-size_t ForwardTrace::untraced_ops() const {
-  return untraced_ + (pending_node_ != nullptr ? 1 : 0);
-}
+size_t ForwardTrace::untraced_ops() const { return untraced_; }
 
 std::string ForwardTrace::first_untraced_op() const {
-  if (untraced_ > 0) return first_untraced_;
-  if (pending_node_ != nullptr) return pending_name_;
-  return "";
+  return first_untraced_;
 }
 
 namespace internal {
-
-bool ForwardTraceActive() { return t_active_trace != nullptr; }
-
-void TraceNoteNode(const Node* node, const char* op_name) {
-  ForwardTrace* trace = t_active_trace;
-  if (trace == nullptr) return;
-  trace->FlushPending();
-  trace->pending_node_ = node;
-  trace->pending_name_ = op_name;
-}
 
 void TraceRecordOp(const Variable& output, std::vector<Variable> inputs,
                    TraceFn replay, const char* op_name, TraceOpMeta meta) {
   ForwardTrace* trace = t_active_trace;
   if (trace == nullptr) return;
-  if (trace->pending_node_ == output.get()) {
-    trace->pending_node_ = nullptr;
-    trace->pending_name_ = "";
-  }
   trace->records_.push_back({output, std::move(inputs), std::move(replay),
                              op_name, std::move(meta)});
+}
+
+void TraceUntracedOp(const char* op_name) {
+  ForwardTrace* trace = t_active_trace;
+  if (trace == nullptr) return;
+  if (trace->untraced_ == 0) trace->first_untraced_ = op_name;
+  ++trace->untraced_;
 }
 
 }  // namespace internal

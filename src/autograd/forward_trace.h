@@ -17,14 +17,17 @@ namespace lasagne::ag {
 class ForwardTrace;
 struct EdgeStructure;
 
-/// Pure recompute closure for one traced op: given pointers to the
-/// current input tensors (in the op's argument order), it returns the
-/// op's output tensor. Closures must run exactly the arithmetic of the
-/// eager forward (same kernels, same accumulation order) so that a
-/// replayed value is bitwise identical to the eager one, and must not
-/// retain Variables — side data (CSR matrices, edge structures, index
-/// lists, scalars) is captured by shared_ptr or value.
-using TraceFn = std::function<Tensor(const std::vector<const Tensor*>&)>;
+/// Input values of one op, in the op's argument order.
+using TraceInputs = std::vector<const Tensor*>;
+
+/// The forward of one traced op: given the current input tensors, it
+/// returns the op's output tensor. It is the op's only forward — the
+/// eager op computes its value with it (ag::MakeTracedOp) and the trace
+/// records the same function as the replay, so a replayed value is
+/// bitwise the eager one. It must not retain Variables: side data (CSR
+/// matrices, edge structures, index lists, scalars) is captured by
+/// shared_ptr or value.
+using TraceFn = std::function<Tensor(const TraceInputs&)>;
 
 /// Structural identity of a traced op, for the execution-plan fusion
 /// pass (src/infer/plan.cc). The replay closure is opaque, so ops that
@@ -97,23 +100,17 @@ struct TraceRecord {
 
 namespace internal {
 
-/// True while the calling thread has a ForwardTrace installed. Op
-/// implementations branch on this before building trace arguments, so
-/// the untraced hot path pays one thread-local load.
-bool ForwardTraceActive();
-
-/// Called by MakeOpNode for every inference-mode node while a trace is
-/// active. Pairs with the TraceRecordOp the op issues right after; a
-/// node that is noted but never recorded marks the trace incomplete
-/// (the op has no replay closure yet).
-void TraceNoteNode(const Node* node, const char* op_name);
-
-/// Registers the replay closure for the op that just created `output`.
+/// Appends the record of a traced op that just created `output`, when
+/// the calling thread has a ForwardTrace installed (a no-op otherwise).
 /// Ops covered by a fusion rule pass their structural `meta`; the
 /// default (kOpaque) opts out of fusion but still replays.
 void TraceRecordOp(const Variable& output, std::vector<Variable> inputs,
-                   TraceFn replay, const char* op_name,
-                   TraceOpMeta meta = TraceOpMeta());
+                   TraceFn replay, const char* op_name, TraceOpMeta meta);
+
+/// Counts a node built without a replay (training-only ops, losses)
+/// against the installed ForwardTrace, if any: the trace is then
+/// incomplete.
+void TraceUntracedOp(const char* op_name);
 
 }  // namespace internal
 
@@ -124,11 +121,13 @@ void TraceRecordOp(const Variable& output, std::vector<Variable> inputs,
 /// plan interpreter replays without re-walking Forward.
 ///
 /// Only valid under ag::NoGradGuard — tracing a tape-building forward
-/// is meaningless (the tape itself is the trace) and the registered
-/// closures replay evaluation-mode semantics. Ops that create a node
-/// without registering a closure (training-only or not-yet-instrumented
-/// ops) leave the trace incomplete; callers must then fall back to the
-/// eager forward. Nestable; inner traces shadow outer ones.
+/// is meaningless (the tape itself is the trace) and the recorded
+/// forwards replay evaluation-mode semantics. A traced op records
+/// itself in the call that builds its node (ag::MakeTracedOp); a node
+/// built by plain ag::MakeOpNode (training-mode Dropout, the losses)
+/// is counted as untraced on the spot and leaves the trace incomplete,
+/// so callers must then fall back to the eager forward. Nestable;
+/// inner traces shadow outer ones.
 class ForwardTrace {
  public:
   ForwardTrace();
@@ -138,9 +137,9 @@ class ForwardTrace {
   ForwardTrace& operator=(const ForwardTrace&) = delete;
 
   /// True when every op node created while this trace was active
-  /// registered a replay closure.
+  /// was recorded with its forward.
   bool complete() const;
-  /// Number of nodes created without a replay closure.
+  /// Number of nodes created without a recorded forward.
   size_t untraced_ops() const;
   /// Op name of the first untraced node ("" when complete).
   std::string first_untraced_op() const;
@@ -149,20 +148,15 @@ class ForwardTrace {
   std::vector<TraceRecord> TakeRecords() { return std::move(records_); }
 
  private:
-  friend void internal::TraceNoteNode(const Node* node, const char* op_name);
   friend void internal::TraceRecordOp(const Variable& output,
                                       std::vector<Variable> inputs,
                                       TraceFn replay, const char* op_name,
                                       TraceOpMeta meta);
-
-  /// Counts a noted-but-never-recorded node as untraced.
-  void FlushPending();
+  friend void internal::TraceUntracedOp(const char* op_name);
 
   std::vector<TraceRecord> records_;
   size_t untraced_ = 0;
   const char* first_untraced_ = "";
-  const Node* pending_node_ = nullptr;
-  const char* pending_name_ = "";
   ForwardTrace* previous_ = nullptr;
 };
 

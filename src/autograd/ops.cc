@@ -13,134 +13,259 @@
 
 namespace lasagne::ag {
 
-Variable MakeOpNode(Tensor value, std::vector<Variable> parents,
-                    const char* op_name) {
+namespace {
+
+/// Builds an op's node. In inference mode it is value-only: no
+/// requires_grad propagation, no parent retention, and set_backward_fn
+/// discards the op's closure, so the tape never materializes and each
+/// intermediate frees as soon as its consumer has run. Otherwise
+/// requires_grad is the OR of the parents', which move into the node.
+Variable NewNode(Tensor value, std::vector<Variable>& parents,
+                 const char* op_name) {
+  for (const Variable& p : parents) LASAGNE_CHECK(p != nullptr);
+  Variable node;
   if (InferenceModeEnabled()) {
-    // Value-only node: no requires_grad propagation, no parent
-    // retention, and set_backward_fn discards the op's closure, so the
-    // tape never materializes and each intermediate frees as soon as
-    // its consumer has run.
-    for (const Variable& p : parents) LASAGNE_CHECK(p != nullptr);
-    auto node = std::make_shared<Node>(std::move(value),
-                                       /*requires_grad=*/false,
-                                       /*grad_enabled=*/false);
-    node->set_op_name(op_name);
-    if (internal::ForwardTraceActive()) {
-      internal::TraceNoteNode(node.get(), op_name);
+    node = std::make_shared<Node>(std::move(value), /*requires_grad=*/false,
+                                  /*grad_enabled=*/false);
+  } else {
+    bool requires_grad = false;
+    for (const Variable& p : parents) {
+      requires_grad = requires_grad || p->requires_grad();
     }
-    return node;
+    internal::CountOpNode(parents.size());
+    node = std::make_shared<Node>(std::move(value), requires_grad);
+    node->set_parents(std::move(parents));
   }
-  bool requires_grad = false;
-  for (const Variable& p : parents) {
-    LASAGNE_CHECK(p != nullptr);
-    requires_grad = requires_grad || p->requires_grad();
-  }
-  internal::CountOpNode(parents.size());
-  auto node = std::make_shared<Node>(std::move(value), requires_grad);
-  node->set_parents(std::move(parents));
   node->set_op_name(op_name);
   return node;
 }
+
+}  // namespace
+
+Variable MakeOpNode(Tensor value, std::vector<Variable> parents,
+                    const char* op_name) {
+  if (InferenceModeEnabled()) internal::TraceUntracedOp(op_name);
+  return NewNode(std::move(value), parents, op_name);
+}
+
+namespace internal {
+
+TraceInputs InputValues(const std::vector<Variable>& inputs) {
+  TraceInputs values;
+  values.reserve(inputs.size());
+  for (const Variable& v : inputs) values.push_back(&v->value());
+  return values;
+}
+
+Variable MakeTracedNode(Tensor value, std::vector<Variable> inputs,
+                        TraceFn replay, const char* op_name,
+                        TraceOpMeta meta) {
+  Variable out = NewNode(std::move(value), inputs, op_name);
+  if (InferenceModeEnabled()) {
+    TraceRecordOp(out, std::move(inputs), std::move(replay), op_name,
+                  std::move(meta));
+  }
+  return out;
+}
+
+}  // namespace internal
+
+Variable MakeTracedOp(TraceFn forward, std::vector<Variable> inputs,
+                      const char* op_name, TraceOpMeta meta) {
+  Tensor value = forward(internal::InputValues(inputs));
+  return internal::MakeTracedNode(std::move(value), std::move(inputs),
+                                  std::move(forward), op_name,
+                                  std::move(meta));
+}
+
+namespace {
+
+/// Row r of in[0] times in[1](r, 0).
+Tensor RowScaleForward(const TraceInputs& in) {
+  Tensor y = *in[0];
+  for (size_t r = 0; r < y.rows(); ++r) {
+    const float f = (*in[1])(r, 0);
+    float* row = y.RowPtr(r);
+    for (size_t j = 0; j < y.cols(); ++j) row[j] *= f;
+  }
+  return y;
+}
+
+/// 1 / d with |d| clamped to at least eps (sign kept).
+float SafeInverse(float denom, float eps) {
+  return 1.0f / (std::fabs(denom) > eps ? denom : (denom < 0 ? -eps : eps));
+}
+
+/// Row r of `x` times SafeInverse(d(r, 0), eps).
+Tensor RowDivideForward(const Tensor& x, const Tensor& d, float eps) {
+  Tensor y = x;
+  for (size_t r = 0; r < y.rows(); ++r) {
+    const float inv = SafeInverse(d(r, 0), eps);
+    float* row = y.RowPtr(r);
+    for (size_t j = 0; j < y.cols(); ++j) row[j] *= inv;
+  }
+  return y;
+}
+
+/// Per-row maximum; the first maximal column of row r goes to
+/// (*argmax)[r] when `argmax` is non-null.
+Tensor RowMaxForward(const TraceInputs& in, std::vector<size_t>* argmax) {
+  const Tensor& x = *in[0];
+  Tensor y(x.rows(), 1);
+  if (argmax != nullptr) argmax->resize(x.rows());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const float* row = x.RowPtr(r);
+    size_t best = 0;
+    for (size_t j = 1; j < x.cols(); ++j) {
+      if (row[j] > row[best]) best = j;
+    }
+    if (argmax != nullptr) (*argmax)[r] = best;
+    y(r, 0) = row[best];
+  }
+  return y;
+}
+
+/// Columns [start, start + len) of x.
+Tensor SliceColumns(const Tensor& x, size_t start, size_t len) {
+  Tensor y(x.rows(), len);
+  for (size_t r = 0; r < x.rows(); ++r) {
+    std::copy(x.RowPtr(r) + start, x.RowPtr(r) + start + len, y.RowPtr(r));
+  }
+  return y;
+}
+
+/// Elementwise maximum over the inputs; the index of the (first)
+/// winning input per coordinate goes to `winner` when non-null.
+Tensor MaxOverSetForward(const TraceInputs& in,
+                         std::vector<uint8_t>* winner) {
+  Tensor y = *in[0];
+  if (winner != nullptr) winner->assign(y.size(), uint8_t{0});
+  for (size_t k = 1; k < in.size(); ++k) {
+    const Tensor& v = *in[k];
+    for (size_t i = 0; i < y.size(); ++i) {
+      if (v.data()[i] > y.data()[i]) {
+        y.data()[i] = v.data()[i];
+        if (winner != nullptr) (*winner)[i] = static_cast<uint8_t>(k);
+      }
+    }
+  }
+  return y;
+}
+
+/// Mean over rows, (N x D) -> (1 x D), summed in row order.
+Tensor ColumnMean(const Tensor& x) {
+  Tensor y(1, x.cols());
+  for (size_t r = 0; r < x.rows(); ++r) {
+    const float* row = x.RowPtr(r);
+    for (size_t j = 0; j < x.cols(); ++j) y(0, j) += row[j];
+  }
+  y *= 1.0f / static_cast<float>(x.rows());
+  return y;
+}
+
+/// A (1 x 1) tensor holding `v`.
+Tensor Scalar(float v) {
+  Tensor y(1, 1);
+  y(0, 0) = v;
+  return y;
+}
+
+/// PairNorm's backward cache: the column-centred rows and each row's
+/// `scale / ||c_r||`.
+struct PairNormByProduct {
+  Tensor centered;
+  std::vector<float> inv_norms;
+};
+
+/// <a, b>, ||a||^2 and ||b||^2 of two d-float rows, in double.
+struct RowPairDots {
+  double dot = 0.0, na = 0.0, nb = 0.0;
+};
+
+RowPairDots Dots(const float* ra, const float* rb, size_t d) {
+  RowPairDots s;
+  for (size_t j = 0; j < d; ++j) {
+    s.dot += static_cast<double>(ra[j]) * rb[j];
+    s.na += static_cast<double>(ra[j]) * ra[j];
+    s.nb += static_cast<double>(rb[j]) * rb[j];
+  }
+  return s;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Elementwise / arithmetic
 // ---------------------------------------------------------------------------
 
-// Every op that can appear in an evaluation-mode forward registers a
-// replay closure with the active ForwardTrace (plan compiler capture,
-// src/infer/plan.h). The closure reruns exactly the eager arithmetic on
-// the current input tensors; the ForwardTraceActive() branch keeps the
-// untraced path at one thread-local load per op.
+// Every op that can appear in an evaluation-mode forward builds its node
+// with MakeTracedOp: its one forward function computes the eager value
+// and is the replay the plan compiler records (src/infer/plan.h), so a
+// plan replays the eager arithmetic by construction.
 
 Variable Add(const Variable& a, const Variable& b) {
-  Variable out = MakeOpNode(a->value() + b->value(), {a, b}, "Add");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) { return *in[0] + *in[1]; }, {a, b}, "Add",
+      TraceOpMeta::Kind(TraceOpKind::kAdd));
   Node* pa = a.get();
   Node* pb = b.get();
   out->set_backward_fn([pa, pb](const Tensor& g) {
     pa->AccumulateGrad(g);
     pb->AccumulateGrad(g);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {a, b},
-        [](const std::vector<const Tensor*>& in) { return *in[0] + *in[1]; },
-        "Add", TraceOpMeta::Kind(TraceOpKind::kAdd));
-  }
   return out;
 }
 
 Variable AddMany(const std::vector<Variable>& inputs) {
   LASAGNE_CHECK(!inputs.empty());
-  Tensor total = inputs[0]->value();
-  for (size_t i = 1; i < inputs.size(); ++i) total += inputs[i]->value();
-  Variable out = MakeOpNode(std::move(total), inputs, "AddMany");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) {
+        Tensor total = *in[0];
+        for (size_t i = 1; i < in.size(); ++i) total += *in[i];
+        return total;
+      },
+      inputs, "AddMany");
   std::vector<Node*> raw;
   raw.reserve(inputs.size());
   for (const Variable& v : inputs) raw.push_back(v.get());
   out->set_backward_fn([raw](const Tensor& g) {
     for (Node* n : raw) n->AccumulateGrad(g);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, inputs,
-        [](const std::vector<const Tensor*>& in) {
-          Tensor total = *in[0];
-          for (size_t i = 1; i < in.size(); ++i) total += *in[i];
-          return total;
-        },
-        "AddMany");
-  }
   return out;
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
-  Variable out = MakeOpNode(a->value() - b->value(), {a, b}, "Sub");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) { return *in[0] - *in[1]; }, {a, b}, "Sub");
   Node* pa = a.get();
   Node* pb = b.get();
   out->set_backward_fn([pa, pb](const Tensor& g) {
     pa->AccumulateGrad(g);
     pb->AccumulateGrad(g * -1.0f);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {a, b},
-        [](const std::vector<const Tensor*>& in) { return *in[0] - *in[1]; },
-        "Sub");
-  }
   return out;
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
-  Variable out = MakeOpNode(a->value() * b->value(), {a, b}, "Mul");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) { return *in[0] * *in[1]; }, {a, b}, "Mul");
   Node* pa = a.get();
   Node* pb = b.get();
   out->set_backward_fn([pa, pb](const Tensor& g) {
     pa->AccumulateGrad(g * pb->value());
     pb->AccumulateGrad(g * pa->value());
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {a, b},
-        [](const std::vector<const Tensor*>& in) { return *in[0] * *in[1]; },
-        "Mul");
-  }
   return out;
 }
 
 Variable ScalarMul(const Variable& x, float scalar) {
-  Variable out = MakeOpNode(x->value() * scalar, {x}, "ScalarMul");
+  Variable out = MakeTracedOp(
+      [scalar](const TraceInputs& in) { return *in[0] * scalar; }, {x},
+      "ScalarMul");
   Node* px = x.get();
   out->set_backward_fn([px, scalar](const Tensor& g) {
     px->AccumulateGrad(g * scalar);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [scalar](const std::vector<const Tensor*>& in) {
-          return *in[0] * scalar;
-        },
-        "ScalarMul");
-  }
   return out;
 }
 
@@ -152,19 +277,13 @@ Variable UnaryOp(const Variable& x, const char* name,
                  std::function<Tensor(const Tensor& g, const Tensor& x_val,
                                       const Tensor& y_val)>
                      bwd) {
-  Tensor y = x->value().Map(fwd);
-  Variable out = MakeOpNode(std::move(y), {x}, name);
+  Variable out = MakeTracedOp(
+      [fwd](const TraceInputs& in) { return in[0]->Map(fwd); }, {x}, name);
   Node* px = x.get();
   Node* pout = out.get();
   out->set_backward_fn([px, pout, bwd](const Tensor& g) {
     px->AccumulateGrad(bwd(g, px->value(), pout->value()));
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [fwd](const std::vector<const Tensor*>& in) { return in[0]->Map(fwd); },
-        name);
-  }
   return out;
 }
 
@@ -174,12 +293,16 @@ Variable Relu(const Variable& x) {
   // Fused kernel path: forward is max(x, 0) lane-exactly, backward
   // masks g where x <= 0 — both bitwise the per-element formulation
   // UnaryOp used to run through std::function (docs/KERNELS.md).
-  Tensor y = Tensor::Uninitialized(x->rows(), x->cols());
-  ParallelFor(0, y.size(), kGrain, [&](size_t begin, size_t end) {
-    kernels::ReluForward(x->value().data() + begin, y.data() + begin,
-                         end - begin);
-  });
-  Variable out = MakeOpNode(std::move(y), {x}, "Relu");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) {
+        Tensor y = Tensor::Uninitialized(in[0]->rows(), in[0]->cols());
+        ParallelFor(0, y.size(), kGrain, [&](size_t begin, size_t end) {
+          kernels::ReluForward(in[0]->data() + begin, y.data() + begin,
+                               end - begin);
+        });
+        return y;
+      },
+      {x}, "Relu", TraceOpMeta::Kind(TraceOpKind::kRelu));
   Node* px = x.get();
   out->set_backward_fn([px](const Tensor& g) {
     Tensor dx = Tensor::Uninitialized(g.rows(), g.cols());
@@ -189,29 +312,20 @@ Variable Relu(const Variable& x) {
     });
     px->AccumulateGrad(dx);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [](const std::vector<const Tensor*>& in) {
-          Tensor y = Tensor::Uninitialized(in[0]->rows(), in[0]->cols());
-          ParallelFor(0, y.size(), kGrain, [&](size_t begin, size_t end) {
-            kernels::ReluForward(in[0]->data() + begin, y.data() + begin,
-                                 end - begin);
-          });
-          return y;
-        },
-        "Relu", TraceOpMeta::Kind(TraceOpKind::kRelu));
-  }
   return out;
 }
 
 Variable LeakyRelu(const Variable& x, float alpha) {
-  Tensor y = Tensor::Uninitialized(x->rows(), x->cols());
-  ParallelFor(0, y.size(), kGrain, [&](size_t begin, size_t end) {
-    kernels::LeakyReluForward(x->value().data() + begin, alpha,
-                              y.data() + begin, end - begin);
-  });
-  Variable out = MakeOpNode(std::move(y), {x}, "LeakyRelu");
+  Variable out = MakeTracedOp(
+      [alpha](const TraceInputs& in) {
+        Tensor y = Tensor::Uninitialized(in[0]->rows(), in[0]->cols());
+        ParallelFor(0, y.size(), kGrain, [&](size_t begin, size_t end) {
+          kernels::LeakyReluForward(in[0]->data() + begin, alpha,
+                                    y.data() + begin, end - begin);
+        });
+        return y;
+      },
+      {x}, "LeakyRelu", TraceOpMeta::LeakySlope(alpha));
   Node* px = x.get();
   out->set_backward_fn([px, alpha](const Tensor& g) {
     Tensor dx = Tensor::Uninitialized(g.rows(), g.cols());
@@ -222,19 +336,6 @@ Variable LeakyRelu(const Variable& x, float alpha) {
     });
     px->AccumulateGrad(dx);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [alpha](const std::vector<const Tensor*>& in) {
-          Tensor y = Tensor::Uninitialized(in[0]->rows(), in[0]->cols());
-          ParallelFor(0, y.size(), kGrain, [&](size_t begin, size_t end) {
-            kernels::LeakyReluForward(in[0]->data() + begin, alpha,
-                                      y.data() + begin, end - begin);
-          });
-          return y;
-        },
-        "LeakyRelu", TraceOpMeta::LeakySlope(alpha));
-  }
   return out;
 }
 
@@ -243,14 +344,7 @@ Variable Sigmoid(const Variable& x) {
       x, "Sigmoid",
       [](float v) { return 1.0f / (1.0f + std::exp(-v)); },
       [](const Tensor& g, const Tensor&, const Tensor& y_val) {
-        Tensor dx = g;
-        for (size_t i = 0; i < dx.rows(); ++i) {
-          for (size_t j = 0; j < dx.cols(); ++j) {
-            const float s = y_val(i, j);
-            dx(i, j) *= s * (1.0f - s);
-          }
-        }
-        return dx;
+        return g * y_val.Map([](float s) { return s * (1.0f - s); });
       });
 }
 
@@ -258,14 +352,7 @@ Variable Tanh(const Variable& x) {
   return UnaryOp(
       x, "Tanh", [](float v) { return std::tanh(v); },
       [](const Tensor& g, const Tensor&, const Tensor& y_val) {
-        Tensor dx = g;
-        for (size_t i = 0; i < dx.rows(); ++i) {
-          for (size_t j = 0; j < dx.cols(); ++j) {
-            const float t = y_val(i, j);
-            dx(i, j) *= 1.0f - t * t;
-          }
-        }
-        return dx;
+        return g * y_val.Map([](float t) { return 1.0f - t * t; });
       });
 }
 
@@ -297,7 +384,9 @@ Variable Log(const Variable& x, float eps) {
 // ---------------------------------------------------------------------------
 
 Variable MatMul(const Variable& a, const Variable& b) {
-  Variable out = MakeOpNode(a->value().MatMul(b->value()), {a, b}, "MatMul");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) { return in[0]->MatMul(*in[1]); }, {a, b},
+      "MatMul", TraceOpMeta::Kind(TraceOpKind::kMatMul));
   Node* pa = a.get();
   Node* pb = b.get();
   out->set_backward_fn([pa, pb](const Tensor& g) {
@@ -308,47 +397,29 @@ Variable MatMul(const Variable& a, const Variable& b) {
       pb->AccumulateGrad(pa->value().TransposedMatMul(g));
     }
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {a, b},
-        [](const std::vector<const Tensor*>& in) {
-          return in[0]->MatMul(*in[1]);
-        },
-        "MatMul", TraceOpMeta::Kind(TraceOpKind::kMatMul));
-  }
   return out;
 }
 
 Variable Transpose(const Variable& x) {
-  Variable out = MakeOpNode(x->value().Transpose(), {x}, "Transpose");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) { return in[0]->Transpose(); }, {x},
+      "Transpose");
   Node* px = x.get();
   out->set_backward_fn([px](const Tensor& g) {
     px->AccumulateGrad(g.Transpose());
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [](const std::vector<const Tensor*>& in) { return in[0]->Transpose(); },
-        "Transpose");
-  }
   return out;
 }
 
 Variable SpMM(std::shared_ptr<const CsrMatrix> matrix, const Variable& x) {
   LASAGNE_CHECK(matrix != nullptr);
-  Variable out = MakeOpNode(matrix->Multiply(x->value()), {x}, "SpMM");
+  Variable out = MakeTracedOp(
+      [matrix](const TraceInputs& in) { return matrix->Multiply(*in[0]); },
+      {x}, "SpMM", TraceOpMeta::Spmm(matrix));
   Node* px = x.get();
   out->set_backward_fn([matrix, px](const Tensor& g) {
     px->AccumulateGrad(matrix->TransposedMultiply(g));
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [matrix](const std::vector<const Tensor*>& in) {
-          return matrix->Multiply(*in[0]);
-        },
-        "SpMM", TraceOpMeta::Spmm(matrix));
-  }
   return out;
 }
 
@@ -359,14 +430,19 @@ Variable SpMM(std::shared_ptr<const CsrMatrix> matrix, const Variable& x) {
 Variable AddRowVector(const Variable& x, const Variable& bias) {
   LASAGNE_CHECK_EQ(bias->rows(), 1u);
   LASAGNE_CHECK_EQ(bias->cols(), x->cols());
-  const size_t cols = x->cols();
-  Tensor y = Tensor::Uninitialized(x->rows(), cols);
-  ParallelFor(0, x->rows(), RowGrain(cols), [&](size_t row_begin,
-                                                size_t row_end) {
-    kernels::AddRowVector(x->value().data(), bias->value().data(), y.data(),
-                          cols, row_begin, row_end);
-  });
-  Variable out = MakeOpNode(std::move(y), {x, bias}, "AddRowVector");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) {
+        const size_t cols = in[0]->cols();
+        Tensor y = Tensor::Uninitialized(in[0]->rows(), cols);
+        ParallelFor(0, in[0]->rows(), RowGrain(cols),
+                    [&](size_t row_begin, size_t row_end) {
+                      kernels::AddRowVector(in[0]->data(), in[1]->data(),
+                                            y.data(), cols, row_begin,
+                                            row_end);
+                    });
+        return y;
+      },
+      {x, bias}, "AddRowVector", TraceOpMeta::Kind(TraceOpKind::kAddRowVector));
   Node* px = x.get();
   Node* pb = bias.get();
   out->set_backward_fn([px, pb](const Tensor& g) {
@@ -377,46 +453,18 @@ Variable AddRowVector(const Variable& x, const Variable& bias) {
       pb->AccumulateGrad(db);
     }
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x, bias},
-        [](const std::vector<const Tensor*>& in) {
-          const size_t cols = in[0]->cols();
-          Tensor y = Tensor::Uninitialized(in[0]->rows(), cols);
-          ParallelFor(0, in[0]->rows(), RowGrain(cols),
-                      [&](size_t row_begin, size_t row_end) {
-                        kernels::AddRowVector(in[0]->data(), in[1]->data(),
-                                              y.data(), cols, row_begin,
-                                              row_end);
-                      });
-          return y;
-        },
-        "AddRowVector", TraceOpMeta::Kind(TraceOpKind::kAddRowVector));
-  }
   return out;
 }
 
 Variable RowScale(const Variable& x, const Variable& c) {
   LASAGNE_CHECK_EQ(c->cols(), 1u);
   LASAGNE_CHECK_EQ(c->rows(), x->rows());
-  Tensor y = x->value();
-  for (size_t r = 0; r < y.rows(); ++r) {
-    const float f = c->value()(r, 0);
-    float* row = y.RowPtr(r);
-    for (size_t j = 0; j < y.cols(); ++j) row[j] *= f;
-  }
-  Variable out = MakeOpNode(std::move(y), {x, c}, "RowScale");
+  Variable out = MakeTracedOp(RowScaleForward, {x, c}, "RowScale");
   Node* px = x.get();
   Node* pc = c.get();
   out->set_backward_fn([px, pc](const Tensor& g) {
     if (px->requires_grad()) {
-      Tensor dx = g;
-      for (size_t r = 0; r < dx.rows(); ++r) {
-        const float f = pc->value()(r, 0);
-        float* row = dx.RowPtr(r);
-        for (size_t j = 0; j < dx.cols(); ++j) row[j] *= f;
-      }
-      px->AccumulateGrad(dx);
+      px->AccumulateGrad(RowScaleForward({&g, &pc->value()}));
     }
     if (pc->requires_grad()) {
       Tensor dc(g.rows(), 1);
@@ -430,60 +478,29 @@ Variable RowScale(const Variable& x, const Variable& c) {
       pc->AccumulateGrad(dc);
     }
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x, c},
-        [](const std::vector<const Tensor*>& in) {
-          Tensor y = *in[0];
-          for (size_t r = 0; r < y.rows(); ++r) {
-            const float f = (*in[1])(r, 0);
-            float* row = y.RowPtr(r);
-            for (size_t j = 0; j < y.cols(); ++j) row[j] *= f;
-          }
-          return y;
-        },
-        "RowScale");
-  }
   return out;
 }
 
 Variable RowDivide(const Variable& x, const Variable& d, float eps) {
   LASAGNE_CHECK_EQ(d->cols(), 1u);
   LASAGNE_CHECK_EQ(d->rows(), x->rows());
-  Tensor y = x->value();
-  for (size_t r = 0; r < y.rows(); ++r) {
-    const float denom = d->value()(r, 0);
-    const float inv = 1.0f / (std::fabs(denom) > eps
-                                  ? denom
-                                  : (denom < 0 ? -eps : eps));
-    float* row = y.RowPtr(r);
-    for (size_t j = 0; j < y.cols(); ++j) row[j] *= inv;
-  }
-  Variable out = MakeOpNode(std::move(y), {x, d}, "RowDivide");
+  Variable out = MakeTracedOp(
+      [eps](const TraceInputs& in) {
+        return RowDivideForward(*in[0], *in[1], eps);
+      },
+      {x, d}, "RowDivide");
   Node* px = x.get();
   Node* pd = d.get();
   Node* pout = out.get();
   out->set_backward_fn([px, pd, pout, eps](const Tensor& g) {
     if (px->requires_grad()) {
-      Tensor dx = g;
-      for (size_t r = 0; r < dx.rows(); ++r) {
-        const float denom = pd->value()(r, 0);
-        const float inv = 1.0f / (std::fabs(denom) > eps
-                                      ? denom
-                                      : (denom < 0 ? -eps : eps));
-        float* row = dx.RowPtr(r);
-        for (size_t j = 0; j < dx.cols(); ++j) row[j] *= inv;
-      }
-      px->AccumulateGrad(dx);
+      px->AccumulateGrad(RowDivideForward(g, pd->value(), eps));
     }
     if (pd->requires_grad()) {
       // dL/dd_r = -sum_j g_rj * y_rj / d_r
       Tensor dd(g.rows(), 1);
       for (size_t r = 0; r < g.rows(); ++r) {
-        const float denom = pd->value()(r, 0);
-        const float inv = 1.0f / (std::fabs(denom) > eps
-                                      ? denom
-                                      : (denom < 0 ? -eps : eps));
+        const float inv = SafeInverse(pd->value()(r, 0), eps);
         const float* g_row = g.RowPtr(r);
         const float* y_row = pout->value().RowPtr(r);
         double acc = 0.0;
@@ -493,40 +510,13 @@ Variable RowDivide(const Variable& x, const Variable& d, float eps) {
       pd->AccumulateGrad(dd);
     }
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x, d},
-        [eps](const std::vector<const Tensor*>& in) {
-          Tensor y = *in[0];
-          for (size_t r = 0; r < y.rows(); ++r) {
-            const float denom = (*in[1])(r, 0);
-            const float inv = 1.0f / (std::fabs(denom) > eps
-                                          ? denom
-                                          : (denom < 0 ? -eps : eps));
-            float* row = y.RowPtr(r);
-            for (size_t j = 0; j < y.cols(); ++j) row[j] *= inv;
-          }
-          return y;
-        },
-        "RowDivide");
-  }
   return out;
 }
 
 Variable RowMax(const Variable& x) {
   LASAGNE_CHECK_GT(x->cols(), 0u);
-  Tensor y(x->rows(), 1);
-  auto argmax = std::make_shared<std::vector<size_t>>(x->rows());
-  for (size_t r = 0; r < x->rows(); ++r) {
-    const float* row = x->value().RowPtr(r);
-    size_t best = 0;
-    for (size_t j = 1; j < x->cols(); ++j) {
-      if (row[j] > row[best]) best = j;
-    }
-    (*argmax)[r] = best;
-    y(r, 0) = row[best];
-  }
-  Variable out = MakeOpNode(std::move(y), {x}, "RowMax");
+  auto argmax = std::make_shared<std::vector<size_t>>();
+  Variable out = MakeTracedOp(RowMaxForward, argmax.get(), {x}, "RowMax");
   Node* px = x.get();
   out->set_backward_fn([px, argmax](const Tensor& g) {
     Tensor dx(px->rows(), px->cols());
@@ -535,44 +525,30 @@ Variable RowMax(const Variable& x) {
     }
     px->AccumulateGrad(dx);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [](const std::vector<const Tensor*>& in) {
-          Tensor y(in[0]->rows(), 1);
-          for (size_t r = 0; r < in[0]->rows(); ++r) {
-            const float* row = in[0]->RowPtr(r);
-            size_t best = 0;
-            for (size_t j = 1; j < in[0]->cols(); ++j) {
-              if (row[j] > row[best]) best = j;
-            }
-            y(r, 0) = row[best];
-          }
-          return y;
-        },
-        "RowMax");
-  }
   return out;
 }
 
 Variable ConcatCols(const std::vector<Variable>& inputs) {
   LASAGNE_CHECK(!inputs.empty());
   const size_t rows = inputs[0]->rows();
-  size_t total_cols = 0;
-  for (const Variable& v : inputs) {
-    LASAGNE_CHECK_EQ(v->rows(), rows);
-    total_cols += v->cols();
-  }
-  Tensor y(rows, total_cols);
-  size_t offset = 0;
-  for (const Variable& v : inputs) {
-    for (size_t r = 0; r < rows; ++r) {
-      std::copy(v->value().RowPtr(r), v->value().RowPtr(r) + v->cols(),
-                y.RowPtr(r) + offset);
-    }
-    offset += v->cols();
-  }
-  Variable out = MakeOpNode(std::move(y), inputs, "ConcatCols");
+  for (const Variable& v : inputs) LASAGNE_CHECK_EQ(v->rows(), rows);
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) {
+        const size_t rows = in[0]->rows();
+        size_t total_cols = 0;
+        for (const Tensor* t : in) total_cols += t->cols();
+        Tensor y(rows, total_cols);
+        size_t offset = 0;
+        for (const Tensor* t : in) {
+          for (size_t r = 0; r < rows; ++r) {
+            std::copy(t->RowPtr(r), t->RowPtr(r) + t->cols(),
+                      y.RowPtr(r) + offset);
+          }
+          offset += t->cols();
+        }
+        return y;
+      },
+      inputs, "ConcatCols");
   std::vector<Node*> raw;
   std::vector<size_t> offsets;
   size_t acc = 0;
@@ -581,49 +557,24 @@ Variable ConcatCols(const std::vector<Variable>& inputs) {
     offsets.push_back(acc);
     acc += v->cols();
   }
-  out->set_backward_fn([raw, offsets, rows](const Tensor& g) {
+  out->set_backward_fn([raw, offsets](const Tensor& g) {
     for (size_t i = 0; i < raw.size(); ++i) {
       Node* n = raw[i];
-      if (!n->requires_grad()) continue;
-      Tensor dx(n->rows(), n->cols());
-      for (size_t r = 0; r < rows; ++r) {
-        std::copy(g.RowPtr(r) + offsets[i],
-                  g.RowPtr(r) + offsets[i] + n->cols(), dx.RowPtr(r));
+      if (n->requires_grad()) {
+        n->AccumulateGrad(SliceColumns(g, offsets[i], n->cols()));
       }
-      n->AccumulateGrad(dx);
     }
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, inputs,
-        [](const std::vector<const Tensor*>& in) {
-          const size_t rows = in[0]->rows();
-          size_t total_cols = 0;
-          for (const Tensor* t : in) total_cols += t->cols();
-          Tensor y(rows, total_cols);
-          size_t offset = 0;
-          for (const Tensor* t : in) {
-            for (size_t r = 0; r < rows; ++r) {
-              std::copy(t->RowPtr(r), t->RowPtr(r) + t->cols(),
-                        y.RowPtr(r) + offset);
-            }
-            offset += t->cols();
-          }
-          return y;
-        },
-        "ConcatCols");
-  }
   return out;
 }
 
 Variable SliceCols(const Variable& x, size_t start, size_t len) {
   LASAGNE_CHECK_LE(start + len, x->cols());
-  Tensor y(x->rows(), len);
-  for (size_t r = 0; r < x->rows(); ++r) {
-    std::copy(x->value().RowPtr(r) + start,
-              x->value().RowPtr(r) + start + len, y.RowPtr(r));
-  }
-  Variable out = MakeOpNode(std::move(y), {x}, "SliceCols");
+  Variable out = MakeTracedOp(
+      [start, len](const TraceInputs& in) {
+        return SliceColumns(*in[0], start, len);
+      },
+      {x}, "SliceCols");
   Node* px = x.get();
   out->set_backward_fn([px, start, len](const Tensor& g) {
     Tensor dx(px->rows(), px->cols());
@@ -632,27 +583,15 @@ Variable SliceCols(const Variable& x, size_t start, size_t len) {
     }
     px->AccumulateGrad(dx);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [start, len](const std::vector<const Tensor*>& in) {
-          Tensor y(in[0]->rows(), len);
-          for (size_t r = 0; r < in[0]->rows(); ++r) {
-            std::copy(in[0]->RowPtr(r) + start,
-                      in[0]->RowPtr(r) + start + len, y.RowPtr(r));
-          }
-          return y;
-        },
-        "SliceCols");
-  }
   return out;
 }
 
 Variable GatherRows(const Variable& x, std::vector<size_t> indices) {
-  Tensor y = x->value().GatherRows(indices);
-  Variable out = MakeOpNode(std::move(y), {x}, "GatherRows");
-  Node* px = x.get();
   auto idx = std::make_shared<std::vector<size_t>>(std::move(indices));
+  Variable out = MakeTracedOp(
+      [idx](const TraceInputs& in) { return in[0]->GatherRows(*idx); }, {x},
+      "GatherRows");
+  Node* px = x.get();
   out->set_backward_fn([px, idx](const Tensor& g) {
     Tensor dx(px->rows(), px->cols());
     for (size_t i = 0; i < idx->size(); ++i) {
@@ -662,14 +601,6 @@ Variable GatherRows(const Variable& x, std::vector<size_t> indices) {
     }
     px->AccumulateGrad(dx);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [idx](const std::vector<const Tensor*>& in) {
-          return in[0]->GatherRows(*idx);
-        },
-        "GatherRows");
-  }
   return out;
 }
 
@@ -681,19 +612,9 @@ Variable MaxOverSet(const std::vector<Variable>& inputs) {
     LASAGNE_CHECK_EQ(v->rows(), rows);
     LASAGNE_CHECK_EQ(v->cols(), cols);
   }
-  Tensor y = inputs[0]->value();
-  auto winner =
-      std::make_shared<std::vector<uint8_t>>(rows * cols, uint8_t{0});
-  for (size_t k = 1; k < inputs.size(); ++k) {
-    const Tensor& v = inputs[k]->value();
-    for (size_t i = 0; i < rows * cols; ++i) {
-      if (v.data()[i] > y.data()[i]) {
-        y.data()[i] = v.data()[i];
-        (*winner)[i] = static_cast<uint8_t>(k);
-      }
-    }
-  }
-  Variable out = MakeOpNode(std::move(y), inputs, "MaxOverSet");
+  auto winner = std::make_shared<std::vector<uint8_t>>();
+  Variable out =
+      MakeTracedOp(MaxOverSetForward, winner.get(), inputs, "MaxOverSet");
   std::vector<Node*> raw;
   for (const Variable& v : inputs) raw.push_back(v.get());
   out->set_backward_fn([raw, winner, rows, cols](const Tensor& g) {
@@ -707,33 +628,14 @@ Variable MaxOverSet(const std::vector<Variable>& inputs) {
       if (raw[k]->requires_grad()) raw[k]->AccumulateGrad(grads[k]);
     }
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, inputs,
-        [](const std::vector<const Tensor*>& in) {
-          Tensor y = *in[0];
-          for (size_t k = 1; k < in.size(); ++k) {
-            const Tensor& v = *in[k];
-            for (size_t i = 0; i < y.size(); ++i) {
-              if (v.data()[i] > y.data()[i]) y.data()[i] = v.data()[i];
-            }
-          }
-          return y;
-        },
-        "MaxOverSet");
-  }
   return out;
 }
 
 Variable MeanRows(const Variable& x) {
   LASAGNE_CHECK_GT(x->rows(), 0u);
-  Tensor y(1, x->cols());
-  for (size_t r = 0; r < x->rows(); ++r) {
-    const float* row = x->value().RowPtr(r);
-    for (size_t j = 0; j < x->cols(); ++j) y(0, j) += row[j];
-  }
-  y *= 1.0f / static_cast<float>(x->rows());
-  Variable out = MakeOpNode(std::move(y), {x}, "MeanRows");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) { return ColumnMean(*in[0]); }, {x},
+      "MeanRows");
   Node* px = x.get();
   out->set_backward_fn([px](const Tensor& g) {
     const float inv = 1.0f / static_cast<float>(px->rows());
@@ -744,20 +646,6 @@ Variable MeanRows(const Variable& x) {
     }
     px->AccumulateGrad(dx);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [](const std::vector<const Tensor*>& in) {
-          Tensor y(1, in[0]->cols());
-          for (size_t r = 0; r < in[0]->rows(); ++r) {
-            const float* row = in[0]->RowPtr(r);
-            for (size_t j = 0; j < in[0]->cols(); ++j) y(0, j) += row[j];
-          }
-          y *= 1.0f / static_cast<float>(in[0]->rows());
-          return y;
-        },
-        "MeanRows");
-  }
   return out;
 }
 
@@ -766,68 +654,38 @@ Variable MeanRows(const Variable& x) {
 // ---------------------------------------------------------------------------
 
 Variable Sum(const Variable& x) {
-  Tensor y(1, 1);
-  y(0, 0) = x->value().Sum();
-  Variable out = MakeOpNode(std::move(y), {x}, "Sum");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) { return Scalar(in[0]->Sum()); }, {x},
+      "Sum");
   Node* px = x.get();
   out->set_backward_fn([px](const Tensor& g) {
     px->AccumulateGrad(Tensor::Full(px->rows(), px->cols(), g(0, 0)));
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [](const std::vector<const Tensor*>& in) {
-          Tensor y(1, 1);
-          y(0, 0) = in[0]->Sum();
-          return y;
-        },
-        "Sum");
-  }
   return out;
 }
 
 Variable Mean(const Variable& x) {
   LASAGNE_CHECK_GT(x->value().size(), 0u);
-  Tensor y(1, 1);
-  y(0, 0) = x->value().Mean();
-  Variable out = MakeOpNode(std::move(y), {x}, "Mean");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) { return Scalar(in[0]->Mean()); }, {x},
+      "Mean");
   Node* px = x.get();
   out->set_backward_fn([px](const Tensor& g) {
     const float scale =
         g(0, 0) / static_cast<float>(px->value().size());
     px->AccumulateGrad(Tensor::Full(px->rows(), px->cols(), scale));
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [](const std::vector<const Tensor*>& in) {
-          Tensor y(1, 1);
-          y(0, 0) = in[0]->Mean();
-          return y;
-        },
-        "Mean");
-  }
   return out;
 }
 
 Variable SquaredSum(const Variable& x) {
-  Tensor y(1, 1);
-  y(0, 0) = x->value().SquaredNorm();
-  Variable out = MakeOpNode(std::move(y), {x}, "SquaredSum");
+  Variable out = MakeTracedOp(
+      [](const TraceInputs& in) { return Scalar(in[0]->SquaredNorm()); },
+      {x}, "SquaredSum");
   Node* px = x.get();
   out->set_backward_fn([px](const Tensor& g) {
     px->AccumulateGrad(px->value() * (2.0f * g(0, 0)));
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [](const std::vector<const Tensor*>& in) {
-          Tensor y(1, 1);
-          y(0, 0) = in[0]->SquaredNorm();
-          return y;
-        },
-        "SquaredSum");
-  }
   return out;
 }
 
@@ -891,9 +749,11 @@ Variable Dropout(const Variable& x, float rate, Rng& rng, bool training) {
 
 Variable BernoulliStraightThrough(const Variable& probs, Rng& rng,
                                   bool training) {
-  Tensor y = training ? Tensor::Uninitialized(probs->rows(), probs->cols())
-                      : probs->value();
+  // Only the deterministic eval path (identity) is replayable; the
+  // training path consumes RNG state and stays untraced.
+  Variable out;
   if (training) {
+    Tensor y = Tensor::Uninitialized(probs->rows(), probs->cols());
     const float* p = probs->value().data();
     float* dst = y.data();
     ParallelBernoulli(
@@ -902,19 +762,13 @@ Variable BernoulliStraightThrough(const Variable& probs, Rng& rng,
           return Rng::BernoulliThreshold(std::clamp(p[i], 0.0f, 1.0f));
         },
         [dst](size_t i, bool kept) { dst[i] = static_cast<float>(kept); });
+    out = MakeOpNode(std::move(y), {probs}, "BernoulliStraightThrough");
+  } else {
+    out = MakeTracedOp([](const TraceInputs& in) { return *in[0]; },
+                       {probs}, "BernoulliStraightThrough");
   }
-  Variable out =
-      MakeOpNode(std::move(y), {probs}, "BernoulliStraightThrough");
   Node* pp = probs.get();
   out->set_backward_fn([pp](const Tensor& g) { pp->AccumulateGrad(g); });
-  // Only the deterministic eval path (identity) is replayable; the
-  // training path consumes RNG state and stays untraced.
-  if (!training && internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {probs},
-        [](const std::vector<const Tensor*>& in) { return *in[0]; },
-        "BernoulliStraightThrough");
-  }
   return out;
 }
 
@@ -923,47 +777,51 @@ Variable PairNorm(const Variable& x, float scale, float eps) {
   const size_t d = x->cols();
   LASAGNE_CHECK_GT(n, 0u);
   // Forward: center columns, then normalize each row to `scale`.
-  Tensor col_mean(1, d);
-  for (size_t r = 0; r < n; ++r) {
-    const float* row = x->value().RowPtr(r);
-    for (size_t j = 0; j < d; ++j) col_mean(0, j) += row[j];
-  }
-  col_mean *= 1.0f / static_cast<float>(n);
-  Tensor centered(n, d);
-  auto inv_norms = std::make_shared<std::vector<float>>(n);
-  Tensor y(n, d);
-  for (size_t r = 0; r < n; ++r) {
-    const float* row = x->value().RowPtr(r);
-    float* c_row = centered.RowPtr(r);
-    double sq = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      c_row[j] = row[j] - col_mean(0, j);
-      sq += static_cast<double>(c_row[j]) * c_row[j];
-    }
-    const float inv = scale / std::sqrt(static_cast<float>(sq) + eps);
-    (*inv_norms)[r] = inv;
-    float* y_row = y.RowPtr(r);
-    for (size_t j = 0; j < d; ++j) y_row[j] = c_row[j] * inv;
-  }
-  auto centered_ptr = std::make_shared<Tensor>(std::move(centered));
-  Variable out = MakeOpNode(std::move(y), {x}, "PairNorm");
+  auto cache = std::make_shared<PairNormByProduct>();
+  Variable out = MakeTracedOp(
+      [scale, eps](const TraceInputs& in, PairNormByProduct* by_product) {
+        const size_t n = in[0]->rows();
+        const size_t d = in[0]->cols();
+        const Tensor col_mean = ColumnMean(*in[0]);
+        if (by_product != nullptr) {
+          by_product->centered = Tensor::Uninitialized(n, d);
+          by_product->inv_norms.resize(n);
+        }
+        Tensor y(n, d);
+        for (size_t r = 0; r < n; ++r) {
+          const float* row = in[0]->RowPtr(r);
+          float* y_row = y.RowPtr(r);
+          double sq = 0.0;
+          for (size_t j = 0; j < d; ++j) {
+            y_row[j] = row[j] - col_mean(0, j);
+            sq += static_cast<double>(y_row[j]) * y_row[j];
+          }
+          const float inv = scale / std::sqrt(static_cast<float>(sq) + eps);
+          if (by_product != nullptr) {
+            std::copy(y_row, y_row + d, by_product->centered.RowPtr(r));
+            by_product->inv_norms[r] = inv;
+          }
+          for (size_t j = 0; j < d; ++j) y_row[j] *= inv;
+        }
+        return y;
+      },
+      cache.get(), {x}, "PairNorm");
   Node* px = x.get();
-  out->set_backward_fn([px, centered_ptr, inv_norms, scale, eps,
-                        n, d](const Tensor& g) {
+  out->set_backward_fn([px, cache, eps, n, d](const Tensor& g) {
     // y_r = s * c_r / ||c_r||, c = x - colmean(x).
     // dL/dc_r = inv_r * (g_r - (g_r . c_r) * c_r / (||c_r||^2 + eps))
     // dL/dx = dL/dc - colmean(dL/dc)   (centering backward)
     Tensor dc(n, d);
     for (size_t r = 0; r < n; ++r) {
       const float* g_row = g.RowPtr(r);
-      const float* c_row = centered_ptr->RowPtr(r);
+      const float* c_row = cache->centered.RowPtr(r);
       double dot = 0.0;
       double sq = 0.0;
       for (size_t j = 0; j < d; ++j) {
         dot += static_cast<double>(g_row[j]) * c_row[j];
         sq += static_cast<double>(c_row[j]) * c_row[j];
       }
-      const float inv = (*inv_norms)[r];  // = s / sqrt(sq + eps)
+      const float inv = cache->inv_norms[r];  // = s / sqrt(sq + eps)
       const float coeff =
           static_cast<float>(dot / (sq + static_cast<double>(eps)));
       float* dc_row = dc.RowPtr(r);
@@ -971,48 +829,13 @@ Variable PairNorm(const Variable& x, float scale, float eps) {
         dc_row[j] = inv * (g_row[j] - coeff * c_row[j]);
       }
     }
-    Tensor mean_dc(1, d);
-    for (size_t r = 0; r < n; ++r) {
-      const float* row = dc.RowPtr(r);
-      for (size_t j = 0; j < d; ++j) mean_dc(0, j) += row[j];
-    }
-    mean_dc *= 1.0f / static_cast<float>(n);
+    const Tensor mean_dc = ColumnMean(dc);
     for (size_t r = 0; r < n; ++r) {
       float* row = dc.RowPtr(r);
       for (size_t j = 0; j < d; ++j) row[j] -= mean_dc(0, j);
     }
     px->AccumulateGrad(dc);
-    (void)scale;
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [scale, eps](const std::vector<const Tensor*>& in) {
-          const size_t n = in[0]->rows();
-          const size_t d = in[0]->cols();
-          Tensor col_mean(1, d);
-          for (size_t r = 0; r < n; ++r) {
-            const float* row = in[0]->RowPtr(r);
-            for (size_t j = 0; j < d; ++j) col_mean(0, j) += row[j];
-          }
-          col_mean *= 1.0f / static_cast<float>(n);
-          Tensor y(n, d);
-          for (size_t r = 0; r < n; ++r) {
-            const float* row = in[0]->RowPtr(r);
-            float* y_row = y.RowPtr(r);
-            double sq = 0.0;
-            for (size_t j = 0; j < d; ++j) {
-              y_row[j] = row[j] - col_mean(0, j);
-              sq += static_cast<double>(y_row[j]) * y_row[j];
-            }
-            const float inv =
-                scale / std::sqrt(static_cast<float>(sq) + eps);
-            for (size_t j = 0; j < d; ++j) y_row[j] *= inv;
-          }
-          return y;
-        },
-        "PairNorm");
-  }
   return out;
 }
 
@@ -1020,84 +843,58 @@ Variable BatchNormColumns(const Variable& x, float eps) {
   const size_t n = x->rows();
   const size_t d = x->cols();
   LASAGNE_CHECK_GT(n, 1u);
-  Tensor mean(1, d);
-  Tensor inv_std(1, d);
-  for (size_t j = 0; j < d; ++j) {
-    double mu = 0.0;
-    for (size_t i = 0; i < n; ++i) mu += x->value()(i, j);
-    mu /= static_cast<double>(n);
-    double var = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double diff = x->value()(i, j) - mu;
-      var += diff * diff;
-    }
-    var /= static_cast<double>(n);
-    mean(0, j) = static_cast<float>(mu);
-    inv_std(0, j) =
-        static_cast<float>(1.0 / std::sqrt(var + static_cast<double>(eps)));
-  }
-  Tensor y(n, d);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < d; ++j) {
-      y(i, j) = (x->value()(i, j) - mean(0, j)) * inv_std(0, j);
-    }
-  }
-  Variable out = MakeOpNode(y, {x}, "BatchNormColumns");
+  auto inv_std_cache = std::make_shared<Tensor>();
+  Variable out = MakeTracedOp(
+      [eps](const TraceInputs& in, Tensor* inv_std_out) {
+        const Tensor& xv = *in[0];
+        const size_t n = xv.rows();
+        const size_t d = xv.cols();
+        Tensor inv_std(1, d);
+        Tensor y(n, d);
+        for (size_t j = 0; j < d; ++j) {
+          double mu = 0.0;
+          for (size_t i = 0; i < n; ++i) mu += xv(i, j);
+          mu /= static_cast<double>(n);
+          double var = 0.0;
+          for (size_t i = 0; i < n; ++i) {
+            const double diff = xv(i, j) - mu;
+            var += diff * diff;
+          }
+          var /= static_cast<double>(n);
+          const float mean = static_cast<float>(mu);
+          inv_std(0, j) = static_cast<float>(
+              1.0 / std::sqrt(var + static_cast<double>(eps)));
+          for (size_t i = 0; i < n; ++i) {
+            y(i, j) = (xv(i, j) - mean) * inv_std(0, j);
+          }
+        }
+        if (inv_std_out != nullptr) *inv_std_out = std::move(inv_std);
+        return y;
+      },
+      inv_std_cache.get(), {x}, "BatchNormColumns");
   Node* px = x.get();
-  auto y_cache = std::make_shared<Tensor>(std::move(y));
-  auto inv_cache = std::make_shared<Tensor>(std::move(inv_std));
-  out->set_backward_fn([px, y_cache, inv_cache, n, d](const Tensor& g) {
+  Node* pout = out.get();
+  out->set_backward_fn([px, pout, inv_std_cache, n, d](const Tensor& g) {
     // dx = inv_std * (g - mean(g) - y * mean(g * y)), per column.
+    const Tensor& y = pout->value();
     Tensor dx(n, d);
     for (size_t j = 0; j < d; ++j) {
       double g_mean = 0.0;
       double gy_mean = 0.0;
       for (size_t i = 0; i < n; ++i) {
         g_mean += g(i, j);
-        gy_mean += static_cast<double>(g(i, j)) * (*y_cache)(i, j);
+        gy_mean += static_cast<double>(g(i, j)) * y(i, j);
       }
       g_mean /= static_cast<double>(n);
       gy_mean /= static_cast<double>(n);
-      const float inv = (*inv_cache)(0, j);
+      const float inv = (*inv_std_cache)(0, j);
       for (size_t i = 0; i < n; ++i) {
         dx(i, j) = inv * (g(i, j) - static_cast<float>(g_mean) -
-                          (*y_cache)(i, j) * static_cast<float>(gy_mean));
+                          y(i, j) * static_cast<float>(gy_mean));
       }
     }
     px->AccumulateGrad(dx);
   });
-  if (internal::ForwardTraceActive()) {
-    internal::TraceRecordOp(
-        out, {x},
-        [eps](const std::vector<const Tensor*>& in) {
-          const size_t n = in[0]->rows();
-          const size_t d = in[0]->cols();
-          Tensor mean(1, d);
-          Tensor inv_std(1, d);
-          for (size_t j = 0; j < d; ++j) {
-            double mu = 0.0;
-            for (size_t i = 0; i < n; ++i) mu += (*in[0])(i, j);
-            mu /= static_cast<double>(n);
-            double var = 0.0;
-            for (size_t i = 0; i < n; ++i) {
-              const double diff = (*in[0])(i, j) - mu;
-              var += diff * diff;
-            }
-            var /= static_cast<double>(n);
-            mean(0, j) = static_cast<float>(mu);
-            inv_std(0, j) = static_cast<float>(
-                1.0 / std::sqrt(var + static_cast<double>(eps)));
-          }
-          Tensor y(n, d);
-          for (size_t i = 0; i < n; ++i) {
-            for (size_t j = 0; j < d; ++j) {
-              y(i, j) = ((*in[0])(i, j) - mean(0, j)) * inv_std(0, j);
-            }
-          }
-          return y;
-        },
-        "BatchNormColumns");
-  }
   return out;
 }
 
@@ -1123,9 +920,12 @@ Tensor SoftmaxRows(const Tensor& logits) {
   return probs;
 }
 
-Variable WeightedSoftmaxCrossEntropy(const Variable& logits,
-                                     const std::vector<int32_t>& labels,
-                                     const std::vector<float>& weights) {
+namespace {
+
+Variable SoftmaxCrossEntropyNode(const Variable& logits,
+                                 const std::vector<int32_t>& labels,
+                                 const std::vector<float>& weights,
+                                 const char* op_name) {
   const size_t n = logits->rows();
   const size_t c = logits->cols();
   LASAGNE_CHECK_EQ(labels.size(), n);
@@ -1142,10 +942,8 @@ Variable WeightedSoftmaxCrossEntropy(const Variable& logits,
     loss -= weights[i] * std::log(p);
   }
   LASAGNE_CHECK_GT(weight_total, 0.0);
-  Tensor y(1, 1);
-  y(0, 0) = static_cast<float>(loss / weight_total);
-  Variable out =
-      MakeOpNode(std::move(y), {logits}, "SoftmaxCrossEntropy");
+  Variable out = MakeOpNode(Scalar(static_cast<float>(loss / weight_total)),
+                            {logits}, op_name);
   Node* pl = logits.get();
   auto labels_ptr = std::make_shared<std::vector<int32_t>>(labels);
   auto weights_ptr = std::make_shared<std::vector<float>>(weights);
@@ -1167,10 +965,19 @@ Variable WeightedSoftmaxCrossEntropy(const Variable& logits,
   return out;
 }
 
+}  // namespace
+
+Variable WeightedSoftmaxCrossEntropy(const Variable& logits,
+                                     const std::vector<int32_t>& labels,
+                                     const std::vector<float>& weights) {
+  return SoftmaxCrossEntropyNode(logits, labels, weights,
+                                 "WeightedSoftmaxCrossEntropy");
+}
+
 Variable SoftmaxCrossEntropy(const Variable& logits,
                              const std::vector<int32_t>& labels,
                              const std::vector<float>& mask) {
-  return WeightedSoftmaxCrossEntropy(logits, labels, mask);
+  return SoftmaxCrossEntropyNode(logits, labels, mask, "SoftmaxCrossEntropy");
 }
 
 Variable BinaryCrossEntropyWithLogits(const Variable& logits,
@@ -1200,21 +1007,14 @@ Variable BinaryCrossEntropyWithLogits(const Variable& logits,
         }
         return acc;
       });
-  Tensor y(1, 1);
-  y(0, 0) = static_cast<float>(loss / static_cast<double>(total));
-  Variable out =
-      MakeOpNode(std::move(y), {logits}, "BinaryCrossEntropyWithLogits");
+  Variable out = MakeOpNode(
+      Scalar(static_cast<float>(loss / static_cast<double>(total))),
+      {logits}, "BinaryCrossEntropyWithLogits");
   Node* pl = logits.get();
   auto targets_ptr = std::make_shared<Tensor>(targets);
   out->set_backward_fn([pl, sig, targets_ptr, total](const Tensor& g) {
     const float scale = g(0, 0) / static_cast<float>(total);
-    Tensor dx(pl->rows(), pl->cols());
-    ParallelFor(0, total, kGrain, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        dx.data()[i] = scale * (sig->data()[i] - targets_ptr->data()[i]);
-      }
-    });
-    pl->AccumulateGrad(dx);
+    pl->AccumulateGrad((*sig - *targets_ptr) * scale);
   });
   return out;
 }
@@ -1229,20 +1029,13 @@ Variable MeanCosineDistance(
   for (const auto& [a, b] : pairs) {
     LASAGNE_CHECK_LT(a, v.rows());
     LASAGNE_CHECK_LT(b, v.rows());
-    const float* ra = v.RowPtr(a);
-    const float* rb = v.RowPtr(b);
-    double dot = 0.0, na = 0.0, nb = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-      dot += static_cast<double>(ra[j]) * rb[j];
-      na += static_cast<double>(ra[j]) * ra[j];
-      nb += static_cast<double>(rb[j]) * rb[j];
-    }
-    const double denom = std::sqrt(na) * std::sqrt(nb) + eps;
-    total += 1.0 - dot / denom;
+    const RowPairDots s = Dots(v.RowPtr(a), v.RowPtr(b), d);
+    const double denom = std::sqrt(s.na) * std::sqrt(s.nb) + eps;
+    total += 1.0 - s.dot / denom;
   }
-  Tensor y(1, 1);
-  y(0, 0) = static_cast<float>(total / static_cast<double>(pairs.size()));
-  Variable out = MakeOpNode(std::move(y), {x}, "MeanCosineDistance");
+  Variable out = MakeOpNode(
+      Scalar(static_cast<float>(total / static_cast<double>(pairs.size()))),
+      {x}, "MeanCosineDistance");
   Node* px = x.get();
   auto pairs_ptr =
       std::make_shared<std::vector<std::pair<uint32_t, uint32_t>>>(
@@ -1255,24 +1048,17 @@ Variable MeanCosineDistance(
     for (const auto& [a, b] : *pairs_ptr) {
       const float* ra = v.RowPtr(a);
       const float* rb = v.RowPtr(b);
-      double dot = 0.0, na = 0.0, nb = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        dot += static_cast<double>(ra[j]) * rb[j];
-        na += static_cast<double>(ra[j]) * ra[j];
-        nb += static_cast<double>(rb[j]) * rb[j];
-      }
-      const double norm_a = std::sqrt(na);
-      const double norm_b = std::sqrt(nb);
-      const double denom = norm_a * norm_b + eps;
+      const RowPairDots s = Dots(ra, rb, d);
+      const double denom = std::sqrt(s.na) * std::sqrt(s.nb) + eps;
       // d(1 - cos)/da_j = -(b_j / denom - cos * a_j / (na + eps'))
-      const double cos_ab = dot / denom;
+      const double cos_ab = s.dot / denom;
       float* da = dx.RowPtr(a);
       float* db = dx.RowPtr(b);
       for (size_t j = 0; j < d; ++j) {
         da[j] += scale * static_cast<float>(
-                     -(rb[j] / denom - cos_ab * ra[j] / (na + eps)));
+                     -(rb[j] / denom - cos_ab * ra[j] / (s.na + eps)));
         db[j] += scale * static_cast<float>(
-                     -(ra[j] / denom - cos_ab * rb[j] / (nb + eps)));
+                     -(ra[j] / denom - cos_ab * rb[j] / (s.nb + eps)));
       }
     }
     px->AccumulateGrad(dx);

@@ -4,6 +4,8 @@
 #include <memory>
 #include <vector>
 
+#include "autograd/forward_trace.h"
+#include "autograd/inference.h"
 #include "autograd/variable.h"
 #include "sparse/csr_matrix.h"
 #include "tensor/rng.h"
@@ -143,12 +145,50 @@ Variable MeanCosineDistance(const Variable& x,
                             float eps = 1e-8f);
 
 // ---------------------------------------------------------------------------
-// Internal helper shared by op implementations
+// Internal helpers shared by op implementations
 // ---------------------------------------------------------------------------
 
 /// Builds an interior node whose `requires_grad` is the OR of parents'.
+/// For ops with no plan replay (training-mode Dropout, the losses): under
+/// an installed ForwardTrace the node is counted as untraced.
 Variable MakeOpNode(Tensor value, std::vector<Variable> parents,
                     const char* op_name);
+
+/// Builds the node of a traced op from `forward`, the op's one forward
+/// function: runs it on the inputs' values, builds the node and, while a
+/// ForwardTrace is installed, records `forward` itself as the op's
+/// replay, with `meta` for the plan's fusion pass.
+Variable MakeTracedOp(TraceFn forward, std::vector<Variable> inputs,
+                      const char* op_name, TraceOpMeta meta = TraceOpMeta());
+
+namespace internal {
+/// The inputs' values, in order: what a forward runs on.
+TraceInputs InputValues(const std::vector<Variable>& inputs);
+/// The second half of MakeTracedOp: builds the node holding the eager
+/// `value` and records `replay` with the installed ForwardTrace.
+Variable MakeTracedNode(Tensor value, std::vector<Variable> inputs,
+                        TraceFn replay, const char* op_name,
+                        TraceOpMeta meta);
+}  // namespace internal
+
+/// As above for an op whose backward reads a by-product of its forward
+/// (RowMax's argmax, PairNorm's centred rows, ...):
+/// `forward(in, by_product)` fills `*by_product` on a tape-building
+/// call. An evaluation-mode node keeps no backward, so that call and the
+/// recorded replay pass null: a plan never computes or keeps it.
+template <typename ByProduct, typename Forward>
+Variable MakeTracedOp(Forward forward, ByProduct* by_product,
+                      std::vector<Variable> inputs, const char* op_name,
+                      TraceOpMeta meta = TraceOpMeta()) {
+  Tensor value = forward(internal::InputValues(inputs),
+                         InferenceModeEnabled() ? nullptr : by_product);
+  return internal::MakeTracedNode(
+      std::move(value), std::move(inputs),
+      [forward](const TraceInputs& in) {
+        return forward(in, static_cast<ByProduct*>(nullptr));
+      },
+      op_name, std::move(meta));
+}
 
 }  // namespace lasagne::ag
 

@@ -275,7 +275,22 @@ Status LoadV2Payload(const std::string& payload,
     return DataLossError("unknown trainer section kind: '" + kind + "'");
   }
 
-  if (!(in >> section) || section != "rng") {
+  // 'best' is optional: files written before it existed go straight to
+  // 'rng'.
+  if (!(in >> section)) section.clear();
+  if (section == "best") {
+    LASAGNE_RETURN_IF_ERROR(ReadSize(in, "best parameter count", &count));
+    LASAGNE_RETURN_IF_ERROR(CheckParamShapes(params, count));
+    state.best_params.reserve(params.size());
+    for (size_t i = 0; i < params.size(); ++i) {
+      Tensor t(params[i]->rows(), params[i]->cols());
+      LASAGNE_RETURN_IF_ERROR(
+          ReadTensorInto(in, "best parameter " + std::to_string(i), t));
+      state.best_params.push_back(std::move(t));
+    }
+    if (!(in >> section)) section.clear();
+  }
+  if (section != "rng") {
     return DataLossError("v2 payload missing 'rng' section");
   }
   if (!(in >> kind)) return DataLossError("rng section truncated");
@@ -335,6 +350,16 @@ Status SaveCheckpoint(const std::vector<ag::Variable>& params,
     payload += '\n';
   } else {
     payload += "trainer none\n";
+  }
+
+  if (trainer_state != nullptr && !trainer_state->best_params.empty()) {
+    if (trainer_state->best_params.size() != params.size()) {
+      return InvalidArgumentError(
+          "trainer state best parameters do not match parameter count");
+    }
+    payload +=
+        "best " + std::to_string(trainer_state->best_params.size()) + "\n";
+    for (const Tensor& t : trainer_state->best_params) AppendTensor(payload, t);
   }
 
   if (trainer_state != nullptr && trainer_state->has_rng) {

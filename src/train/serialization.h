@@ -25,6 +25,9 @@ struct TrainerState {
   AdamState adam;
   bool has_rng = false;
   RngState rng;
+  /// Parameters of the best-validation epoch so far (empty when the run
+  /// keeps none), restored by `TrainOptions::restore_best` at the end.
+  std::vector<Tensor> best_params;
 };
 
 /// Writes a v2 checkpoint:
@@ -34,11 +37,12 @@ struct TrainerState {
 ///
 /// The payload stores every tensor entry as its raw IEEE-754 bit
 /// pattern (8/16 hex digits), so loads are bitwise-exact, and carries
-/// optional optimizer/trainer/RNG sections (`trainer_state` may be
-/// null for a parameters-only checkpoint). The write is crash-safe:
-/// the payload is staged to `path + ".tmp"`, fsync'd, then atomically
-/// renamed over `path`, so a crash at any byte leaves either the
-/// previous checkpoint or the complete new one — never a torn file.
+/// optional optimizer/trainer/best-parameter/RNG sections
+/// (`trainer_state` may be null for a parameters-only checkpoint). The
+/// write is crash-safe: the payload is staged to `path + ".tmp"`,
+/// fsync'd, then atomically renamed over `path`, so a crash at any byte
+/// leaves either the previous checkpoint or the complete new one —
+/// never a torn file.
 Status SaveCheckpoint(const std::vector<ag::Variable>& params,
                       const TrainerState* trainer_state,
                       const std::string& path);

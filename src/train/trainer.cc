@@ -118,6 +118,7 @@ TrainResult TrainModel(Model& model, const TrainOptions& options) {
         start_epoch = saved.next_epoch;
         epochs_since_best = saved.epochs_since_best;
         result.best_val_accuracy = saved.best_val_accuracy;
+        best_params = std::move(saved.best_params);
         result.resumed_from_epoch = start_epoch;
       } else {
         result.resume_status = import.WithContext("resume");
@@ -296,6 +297,7 @@ TrainResult TrainModel(Model& model, const TrainOptions& options) {
       state.adam = optimizer.ExportState();
       state.has_rng = true;
       state.rng = rng.SaveState();
+      state.best_params = best_params;
       Status saved =
           SaveCheckpoint(params, &state, options.checkpoint_path);
       if (!saved.ok()) {

@@ -97,6 +97,36 @@ TEST(CheckpointV2Test, FullStateRoundTripsBitwise) {
   EXPECT_EQ(loaded.rng.cached_normal, state.rng.cached_normal);
 }
 
+// The optional best-parameter section round-trips bitwise; a file
+// without it (the only kind written before the section existed) loads
+// with no best parameters.
+TEST(CheckpointV2Test, BestParametersRoundTripBitwiseAndAreOptional) {
+  const std::string path = TestPath("v2_best.ckpt");
+  std::vector<ag::Variable> params = MakeParams(0.7f);
+  TrainerState state = MakeState(params);
+  for (const ag::Variable& p : MakeParams(-2.5f)) {
+    state.best_params.push_back(p->value());
+  }
+  ASSERT_TRUE(SaveCheckpoint(params, &state, path).ok());
+  std::vector<ag::Variable> restored = MakeParams(123.0f);
+  TrainerState loaded;
+  Status status = LoadCheckpoint(restored, &loaded, path);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(loaded.best_params.size(), params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(loaded.best_params[i].MaxAbsDiff(state.best_params[i]), 0.0f);
+  }
+  EXPECT_EQ(loaded.rng.state, state.rng.state);
+
+  state.best_params.clear();
+  ASSERT_TRUE(SaveCheckpoint(params, &state, path).ok());
+  EXPECT_EQ(ReadFile(path).find("\nbest "), std::string::npos);
+  status = LoadCheckpoint(restored, &loaded, path);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(loaded.best_params.empty());
+  EXPECT_EQ(loaded.rng.state, state.rng.state);
+}
+
 TEST(CheckpointV2Test, ParamsOnlyCheckpointLoadsWithDefaultState) {
   const std::string path = TestPath("v2_params_only.ckpt");
   std::vector<ag::Variable> params = MakeParams(1.5f);

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -137,6 +138,63 @@ TEST_F(FaultToleranceTest, ResumeIsBitwiseIdenticalToUninterruptedRun) {
     EXPECT_EQ(a[i]->value().MaxAbsDiff(b[i]->value()), 0.0f)
         << "parameter " << i << " diverged after resume";
   }
+  EXPECT_EQ(second.test_accuracy, ref_result.test_accuracy);
+}
+
+// With restore_best on, the final evaluation runs on the best-validation
+// parameters. When that epoch falls before the checkpoint and no later
+// epoch beats it, only the checkpoint can carry them into the resumed
+// run, which must then end exactly like the uninterrupted one.
+TEST_F(FaultToleranceTest, ResumeRestoresBestParametersFromBeforeCheckpoint) {
+  Dataset data = LoadDataset("cora", 0.3, 1);
+  const std::string path = ::testing::TempDir() + "/best_resume.ckpt";
+  std::remove(path.c_str());
+
+  ModelConfig config;
+  config.depth = 4;
+  config.hidden_dim = 32;
+  config.dropout = 0.5f;
+  config.seed = 1;
+  TrainOptions options;
+  options.max_epochs = 12;
+  options.patience = 100;
+  options.seed = 2;
+  constexpr size_t kCheckpointEpoch = 6;
+
+  std::unique_ptr<Model> reference = MakeModel("gat", data, config);
+  TrainResult ref_result = TrainModel(*reference, options);
+  ASSERT_EQ(ref_result.epochs_run, 12u);
+  const std::vector<double>& val = ref_result.val_accuracy_history;
+  const size_t best_epoch = static_cast<size_t>(
+      std::max_element(val.begin(), val.end()) - val.begin());
+  ASSERT_LT(best_epoch, kCheckpointEpoch)
+      << "scenario needs the best validation epoch before the checkpoint";
+
+  TrainOptions first_half = options;
+  first_half.max_epochs = kCheckpointEpoch;
+  first_half.checkpoint_path = path;
+  first_half.checkpoint_interval = kCheckpointEpoch;
+  std::unique_ptr<Model> interrupted = MakeModel("gat", data, config);
+  ASSERT_EQ(TrainModel(*interrupted, first_half).checkpoint_write_failures,
+            0u);
+
+  TrainOptions second_half = options;
+  second_half.checkpoint_path = path;
+  second_half.checkpoint_interval = 1000;  // no further writes
+  second_half.resume = true;
+  std::unique_ptr<Model> resumed = MakeModel("gat", data, config);
+  TrainResult second = TrainModel(*resumed, second_half);
+  ASSERT_TRUE(second.resume_status.ok()) << second.resume_status.ToString();
+  ASSERT_EQ(second.resumed_from_epoch, kCheckpointEpoch);
+
+  std::vector<ag::Variable> a = reference->Parameters();
+  std::vector<ag::Variable> b = resumed->Parameters();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i]->value().MaxAbsDiff(b[i]->value()), 0.0f)
+        << "parameter " << i << " is not the best-epoch value";
+  }
+  EXPECT_EQ(second.best_val_accuracy, ref_result.best_val_accuracy);
   EXPECT_EQ(second.test_accuracy, ref_result.test_accuracy);
 }
 

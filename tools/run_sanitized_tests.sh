@@ -6,9 +6,9 @@
 #   pass 2: TSan        (-DLASAGNE_SANITIZE=thread)  — the thread-pool /
 #           parallel-kernel / determinism tests, plus the observability
 #           layer (striped counters, per-thread trace rings), the
-#           gradient checks (autograd graph under the pool), the
-#           buffer pool (concurrent acquire/release under ParallelFor),
-#           the parallel Dropout stream and the row-parallel edge ops
+#           autograd op tests and gradient checks (every op's forward
+#           and backward under the pool), the buffer pool (concurrent
+#           acquire/release under ParallelFor), the parallel Dropout stream and the row-parallel edge ops
 #
 #   tools/run_sanitized_tests.sh [extra ctest args...]
 #
@@ -49,4 +49,4 @@ cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)"
 LASAGNE_NUM_THREADS="${LASAGNE_NUM_THREADS:-4}" \
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure \
-  -R 'ThreadPool|Parallel|Determinism|Obs|GradCheck|BufferPool|BlockedKernel|FusedOp|Inference|Serving|Plan|PlanFusion|EdgeAttention|SpGemm|DropoutStream|EdgeOpParity' "$@"
+  -R 'ThreadPool|Parallel|Determinism|Obs|Autograd|GradCheck|BufferPool|BlockedKernel|FusedOp|Inference|Serving|Plan|PlanFusion|EdgeAttention|SpGemm|DropoutStream|EdgeOpParity' "$@"
